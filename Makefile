@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check ci fmt vet build test race bench soak reconfig trace critpath replay multiproc fleetobs
+.PHONY: check ci fmt vet build test race e2e bench soak reconfig trace critpath replay multiproc fleetobs
 
-## check: everything a PR must pass — formatting, vet, build, race tests.
-check: fmt vet build race
+## check: everything a PR must pass — formatting, vet, build, race tests,
+## and the benchmark's smoke test.
+check: fmt vet build race e2e
 
 ## ci: the continuous-integration gate — vet, build, full race-detector
 ## run, plus the benchmark regression gates (budgets in
 ## BENCH_monitor.json / BENCH_flight.json / BENCH_redist.json /
 ## BENCH_obsplane.json; all run without -race so the measurements are
-## honest).
+## honest), the benchmark's smoke test, and the three drills.
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -20,6 +21,7 @@ ci:
 	$(GO) test -run TestTCPStatsNopBudget -count=1 ./internal/evpath/
 	$(GO) test -run TestDirectoryLookupBudget -count=1 ./internal/directory/
 	$(GO) test -run TestObsplaneMergeBudget -count=1 ./internal/obsplane/
+	$(MAKE) e2e
 	$(MAKE) multiproc
 	$(MAKE) soak
 	$(MAKE) fleetobs
@@ -43,6 +45,14 @@ test:
 race:
 	$(GO) test -race -count=1 ./internal/core/ ./internal/ndarray/ ./internal/shm/ \
 		./internal/monitor/ ./internal/coupled/
+
+## e2e: vet and smoke-test flexio-bench (benchmark/ is a module of its
+## own, so the root `./...` never reaches it). It imports internal/...
+## through a replace and pins names, optional interfaces and wire sizes
+## there, which makes it the one check that notices when a change to
+## internal/... breaks what BENCHMARK.json's command builds and runs.
+e2e:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 ## bench: redistribution benchmarks with allocation counts, archived as
 ## newline-delimited JSON in BENCH_redist.json.

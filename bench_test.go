@@ -203,26 +203,34 @@ func mappingDecomps(b *testing.B, m, n int) (writers, readers *ndarray.Decomposi
 	return writers, readers
 }
 
-// benchSweepMapping is the headline mapping benchmark body: per
-// iteration it invalidates and rebuilds the reader decomposition's
-// interval index (charging the one-time build cost to every iteration)
-// and then maps every writer box through an arena-reused query — the
-// runtime's actual O(actual overlaps) path.
+// sweepMappingOp is one iteration of the headline mapping benchmark: it
+// invalidates and rebuilds the reader decomposition's interval index
+// (charging the one-time build cost to every iteration) and then maps
+// every writer box through an arena-reused query — the runtime's actual
+// O(actual overlaps) path.
+func sweepMappingOp(b *testing.B, m, n int) func() {
+	writers, readers := mappingDecomps(b, m, n)
+	var arena []ndarray.OverlapTarget
+	return func() {
+		readers.InvalidateIndex()
+		idx := readers.Index()
+		total := 0
+		for w := range writers.Boxes {
+			arena = idx.AppendOverlaps(arena, writers.Boxes[w])
+			total += len(arena)
+		}
+		mappingSink += total
+	}
+}
+
+// benchSweepMapping is the headline mapping benchmark body.
 func benchSweepMapping(m, n int) func(*testing.B) {
 	return func(b *testing.B) {
-		writers, readers := mappingDecomps(b, m, n)
-		var arena []ndarray.OverlapTarget
+		op := sweepMappingOp(b, m, n)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			readers.InvalidateIndex()
-			idx := readers.Index()
-			total := 0
-			for w := range writers.Boxes {
-				arena = idx.AppendOverlaps(arena, writers.Boxes[w])
-				total += len(arena)
-			}
-			mappingSink += total
+			op()
 		}
 	}
 }

@@ -85,6 +85,7 @@ type readerEngine interface {
 	SelectProcessGroups(writers []int) error
 	BeginStep() (int64, bool)
 	ReadArray(name string) ([]byte, ndarray.Box, error)
+	// ReadScalar and ReadProcessGroups return bytes valid until EndStep.
 	ReadScalar(name string) ([]byte, error)
 	ReadProcessGroups(name string) (map[int][]byte, error)
 	EndStep() error
@@ -328,7 +329,8 @@ func (r *Reader) SelectProcessGroups(writers []int) error {
 // BeginStep blocks for the next step; ok=false at End-of-Stream.
 func (r *Reader) BeginStep() (int64, bool) { return r.eng.BeginStep() }
 
-// EndStep releases the current step.
+// EndStep releases the current step; bytes ReadProcessGroups returned for
+// it are no longer valid afterwards.
 func (r *Reader) EndStep() error { return r.eng.EndStep() }
 
 // Close hangs up.
@@ -361,7 +363,9 @@ func (r *Reader) ReadScalarFloat64(name string) (float64, error) {
 	return fs[0], nil
 }
 
-// ReadProcessGroups reads claimed per-writer blocks.
+// ReadProcessGroups reads claimed per-writer blocks. The blocks are valid
+// until this rank's EndStep: in stream mode they may sit in transport
+// buffers that EndStep recycles, so copy what must outlive the step.
 func (r *Reader) ReadProcessGroups(name string) (map[int][]byte, error) {
 	return r.eng.ReadProcessGroups(name)
 }

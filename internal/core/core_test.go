@@ -148,7 +148,20 @@ func runMxNSplit(t *testing.T, nw, nr int, opts Options, steps int) (wmon, rmon 
 	}
 	readers.Wait()
 	rg.Close()
+	requirePayloadPoolDrained(t, wg)
 	return wm.Snapshot(), rm.Snapshot()
+}
+
+// requirePayloadPoolDrained asserts that a closed writer group has every
+// pooled payload back. BufferPool.Put keys its accounting on cap(buf), so
+// this only reaches zero if what was returned is always the whole buffer,
+// header room included — by the flush (deposits), after a copying send or
+// by a reader's release (packed pieces).
+func requirePayloadPoolDrained(t *testing.T, wg *WriterGroup) {
+	t.Helper()
+	if st := wg.PayloadPoolStats(); st.BytesInUse != 0 {
+		t.Errorf("payload pool has %d bytes checked out after Close (stats %+v)", st.BytesInUse, st)
+	}
 }
 
 func TestMxNBasic(t *testing.T) {

@@ -64,7 +64,7 @@ func TestPiecesForSelectionMismatch(t *testing.T) {
 	v := varData{
 		meta: VarMeta{Name: "f", Kind: GlobalArrayVar, ElemSize: 8,
 			GlobalShape: shape, Box: ndarray.BoxFromShape(shape)},
-		data: make([]byte, 8*8*8),
+		buf: make([]byte, headerRoom+8*8*8),
 	}
 	sel := readerSelections{
 		nReaders: 3,
@@ -82,7 +82,7 @@ func TestPiecesForUsesPlanCache(t *testing.T) {
 	v := varData{
 		meta: VarMeta{Name: "f", Kind: GlobalArrayVar, ElemSize: 8,
 			GlobalShape: shape, Box: box},
-		data: fillArrayBytes(box, box),
+		buf: append(make([]byte, headerRoom), fillArrayBytes(box, box)...),
 	}
 	half := ndarray.NewBox([]int64{0, 0}, []int64{8, 4})
 	sel := readerSelections{
@@ -123,7 +123,7 @@ func TestPiecesForUsesPlanCache(t *testing.T) {
 
 	// A changed writer box (same generation) also invalidates.
 	v.meta.Box = ndarray.NewBox([]int64{0, 0}, []int64{4, 8})
-	v.data = make([]byte, 4*8*8)
+	v.buf = make([]byte, headerRoom+4*8*8)
 	if out, err := g.piecesFor(4, 0, v, sel); err != nil {
 		t.Fatal(err)
 	} else {

@@ -129,10 +129,11 @@ type piece struct {
 	elemSize int
 	box      ndarray.Box // overlap region (GlobalArrayVar)
 	data     []byte
-	// release is non-nil when data references the writer's pool buffer
-	// (same-node zero-copy hand-off). It must be called exactly once when
-	// the piece's bytes are no longer needed — EndStep for consumed steps,
-	// snapshotReplay after cloning — returning the buffer to the writer.
+	// release is non-nil when data references a buffer on loan: the
+	// writer's pool buffer (same-node zero-copy hand-off) or the wire
+	// transport's receive buffer. It must be called exactly once when the
+	// piece's bytes are no longer needed — EndStep for consumed steps,
+	// snapshotReplay after cloning — returning the buffer to its pool.
 	release func()
 }
 
@@ -271,11 +272,21 @@ func (g *ReaderGroup) acceptLoop(epoch uint64, r int, l *evpath.Listener) {
 	}
 }
 
+// handleReceiver is the receive half of evpath.HandleConn, which is all
+// dataPump needs of it: a connection may lend out what it received until
+// a release callback runs, whether or not it can also send by handle.
+type handleReceiver interface {
+	RecvHandle() (msg []byte, payload []byte, release func(), err error)
+}
+
 func (g *ReaderGroup) dataPump(epoch uint64, r int, conn evpath.Conn) {
-	// Same-node connections deliver array payloads by reference: the
-	// header is received by copy, the payload stays in the writer's pool
-	// buffer until the release callback hands it back.
-	hc, _ := conn.(evpath.HandleConn)
+	// Two kinds of connection deliver by reference. Same-node ones pass
+	// array payloads by handle: the header is received by copy, the payload
+	// stays in the writer's pool buffer until the release callback hands it
+	// back. The wire transport lends the whole message out of its receive
+	// pool (payload nil, so ev.Data aliases msg) until release recycles the
+	// buffer for a later frame. Either way release travels with the piece.
+	hc, _ := conn.(handleReceiver)
 	for {
 		var buf, payload []byte
 		var release func()
@@ -309,8 +320,9 @@ func (g *ReaderGroup) dataPump(epoch uint64, r int, conn evpath.Conn) {
 }
 
 // routeEvent dispatches one arriving event. release, when non-nil, owns
-// the hand-off of ev.Data back to the writer; every path must either
-// store it with the piece or invoke it.
+// the hand-off of ev.Data back to where it came from (the writer's pool,
+// the wire transport's receive pool); every path must either store it
+// with the piece or invoke it.
 func (g *ReaderGroup) routeEvent(r int, ev *evpath.Event, release func()) {
 	kind, _ := ev.Meta.GetString("kind")
 	switch kind {
@@ -744,7 +756,9 @@ func (r *Reader) ReleaseArray(buf []byte) {
 	r.g.asmPool.Put(buf)
 }
 
-// ReadScalar returns a scalar variable's bytes for the current step.
+// ReadScalar returns a scalar variable's bytes for the current step. The
+// bytes are valid until this rank's EndStep (they may sit in a transport
+// buffer that EndStep recycles); copy what must outlive the step.
 func (r *Reader) ReadScalar(name string) ([]byte, error) {
 	g := r.g
 	g.mu.Lock()
@@ -773,7 +787,10 @@ func (r *Reader) ReadScalar(name string) ([]byte, error) {
 }
 
 // ReadProcessGroups returns the process-group payloads this reader
-// claimed, keyed by writer rank, for one variable.
+// claimed, keyed by writer rank, for one variable. The payloads are valid
+// until this rank's EndStep — like the array pieces ReadArray assembles
+// from, they may sit in transport buffers that EndStep recycles; copy what
+// must outlive the step.
 func (r *Reader) ReadProcessGroups(name string) (map[int][]byte, error) {
 	g := r.g
 	g.mu.Lock()
@@ -821,7 +838,9 @@ func (g *ReaderGroup) WriterDistribution(name string) ([]ndarray.Box, bool) {
 	return out, true
 }
 
-// EndStep releases the current step's buffered pieces for this rank.
+// EndStep releases the current step's buffered pieces for this rank:
+// everything ReadScalar and ReadProcessGroups returned for the step stops
+// being valid here.
 func (r *Reader) EndStep() error {
 	g := r.g
 	g.mu.Lock()
@@ -842,7 +861,7 @@ func (r *Reader) EndStep() error {
 	}
 	st := g.steps[r.curStep]
 	if st != nil {
-		// Hand zero-copy payloads back to the writer: the step's pieces —
+		// Hand payloads on loan back to their pools: the step's pieces —
 		// unpacked by ReadArray or never read at all — are dead once the
 		// rank leaves the step.
 		for _, pieces := range st.perReader[r.Rank] {

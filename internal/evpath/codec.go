@@ -3,8 +3,8 @@
 // paper): data marshaling for typed messages (EVPath uses FFS; here a
 // compact self-describing binary codec), point-to-point connections over
 // pluggable transports (in-process channels, the shared-memory transport
-// of internal/shm, and the RDMA transport of internal/rdma), and a small
-// "stone" dataflow graph in which filter stones host mobile data
+// of internal/shm, the RDMA transport of internal/rdma, and framed TCP/TLS
+// sockets), and the event type whose filter functions host mobile data
 // conditioning plug-ins.
 package evpath
 
@@ -212,6 +212,46 @@ func readValue(buf []byte, pos int) (any, int, error) {
 		return out, pos, nil
 	}
 	return nil, pos, fmt.Errorf("%w: unknown tag %d", ErrCorrupt, tag)
+}
+
+// Event is the unit the transports move: typed metadata plus an opaque
+// bulk payload (the simulation data itself is never re-marshaled field by
+// field — only its descriptive metadata is).
+type Event struct {
+	Meta Record
+	Data []byte
+}
+
+// FilterFunc transforms an event; returning nil drops it. It is what an
+// EVPath filter stone runs: data conditioning plug-ins are installed as
+// filter functions on either end of a connection.
+type FilterFunc func(ev *Event) (*Event, error)
+
+// EncodeEvent frames an event for the wire: uvarint meta length, encoded
+// meta, then raw data.
+func EncodeEvent(ev *Event) ([]byte, error) {
+	meta, err := Encode(ev.Meta)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, 0, len(meta)+len(ev.Data)+10)
+	buf = binary.AppendUvarint(buf, uint64(len(meta)))
+	buf = append(buf, meta...)
+	buf = append(buf, ev.Data...)
+	return buf, nil
+}
+
+// DecodeEvent parses a framed event. Data aliases buf.
+func DecodeEvent(buf []byte) (*Event, error) {
+	n, adv := binary.Uvarint(buf)
+	if adv <= 0 || adv+int(n) > len(buf) {
+		return nil, ErrCorrupt
+	}
+	meta, err := Decode(buf[adv : adv+int(n)])
+	if err != nil {
+		return nil, err
+	}
+	return &Event{Meta: meta, Data: buf[adv+int(n):]}, nil
 }
 
 // Typed field accessors with comma-ok semantics; they tolerate the int64/

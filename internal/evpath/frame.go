@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"flexio/internal/shm"
 )
 
 // Wire framing for the TCP transport: every frame is a 4-byte big-endian
@@ -75,19 +77,29 @@ type chanKey struct {
 
 func (k chanKey) String() string { return fmt.Sprintf("%x.%x", k.dialer, k.id) }
 
-// appendFrame encodes a frame into buf (which may be nil) and returns it.
-func appendFrame(buf []byte, op byte, key chanKey, payload []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(frameHeaderLen+len(payload)))
+// appendFrameHeader encodes the length word and fixed header of a frame
+// carrying n payload bytes into buf (which may be nil) and returns it.
+func appendFrameHeader(buf []byte, op byte, key chanKey, n int) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(frameHeaderLen+n))
 	buf = append(buf, op)
 	buf = binary.BigEndian.AppendUint64(buf, key.dialer)
-	buf = binary.BigEndian.AppendUint64(buf, key.id)
-	return append(buf, payload...)
+	return binary.BigEndian.AppendUint64(buf, key.id)
+}
+
+// appendFrame encodes a whole frame, payload included, into buf. The send
+// path uses it for frames small enough to coalesce; it is also the
+// reference encoder the wire-format tests compare against.
+func appendFrame(buf []byte, op byte, key chanKey, payload []byte) []byte {
+	return append(appendFrameHeader(buf, op, key, len(payload)), payload...)
 }
 
 // readFrame reads exactly one frame. Partial reads are handled by
 // io.ReadFull; an announced length below the header size or above max
-// fails with ErrCorrupt/ErrFrameTooLarge.
-func readFrame(r io.Reader, max int) (frame, error) {
+// fails with ErrCorrupt/ErrFrameTooLarge before anything is allocated.
+// With a non-nil pool the payload of an opData frame is drawn from it
+// (and returned to it if the read fails): the caller owns that buffer and
+// must Put or Forget it. Every other payload is a fresh allocation.
+func readFrame(r io.Reader, max int, pool *shm.BufferPool) (frame, error) {
 	var hdr [4 + frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return frame{}, err
@@ -107,11 +119,24 @@ func readFrame(r io.Reader, max int) (frame, error) {
 		dialer: binary.BigEndian.Uint64(hdr[5:13]),
 		chanID: binary.BigEndian.Uint64(hdr[13:21]),
 	}
-	if n := length - frameHeaderLen; n > 0 {
-		f.payload = make([]byte, n)
-		if _, err := io.ReadFull(r, f.payload); err != nil {
+	n := length - frameHeaderLen
+	if n == 0 {
+		return f, nil
+	}
+	pooled := pool != nil && f.op == opData
+	if pooled {
+		var err error
+		if f.payload, err = pool.Get(n); err != nil {
 			return frame{}, err
 		}
+	} else {
+		f.payload = make([]byte, n)
+	}
+	if _, err := io.ReadFull(r, f.payload); err != nil {
+		if pooled {
+			pool.Put(f.payload)
+		}
+		return frame{}, err
 	}
 	return f, nil
 }

@@ -16,6 +16,7 @@ import (
 
 	"flexio/internal/flight"
 	"flexio/internal/monitor"
+	"flexio/internal/shm"
 )
 
 // The TCP transport turns the in-process Net into a real wire: contacts
@@ -37,6 +38,23 @@ import (
 // before any byte of the pending frame is written, so the peer drains
 // everything already sent and no message is lost or duplicated across
 // the redial.
+//
+// Buffer ownership: a data message crosses each side with one user-space
+// copy. Send writes the caller's slice to the socket behind a separately
+// built frame header (one writev) and holds it only until the write
+// returns. The receiving demux reads each data payload into a buffer from
+// the Net's receive pool; RecvHandle lends that buffer out until the
+// consumer's release returns it for the next frame, while plain Recv gives
+// it away for good.
+
+// rxPoolRetain bounds the bytes the receive pool keeps on its free lists:
+// four largest-size frames, beyond which released buffers go to the GC.
+const rxPoolRetain = 4 * DefaultMaxFrame
+
+// coalesceBelow is the message size under which a frame is copied behind
+// its header and leaves in one Write: below a page the memcpy is cheaper
+// than a second iovec (over TLS, a second record).
+const coalesceBelow = 4 << 10
 
 // ContactPublisher is the hook a directory client implements so that
 // Listen/Close on a serving Net publish and retract contact → address
@@ -151,6 +169,15 @@ type tcpState struct {
 	dropCountdown int
 	sendLatencyNS atomic.Int64
 
+	// rxPool recycles the buffers data frames are read into; freeLeases
+	// recycles the rxLease objects that lend them out. (A plain free list,
+	// not a sync.Pool: the runtime keeps every used sync.Pool reachable for
+	// two more GC cycles, which would pin a closed transport's state and
+	// its pooled buffers with it.)
+	rxPool     *shm.BufferPool
+	leaseMu    sync.Mutex
+	freeLeases []*rxLease
+
 	ctr tcpCounters
 }
 
@@ -167,6 +194,7 @@ func newTCPState(n *Net) *tcpState {
 		allLinks: make(map[*tcpLink]struct{}),
 		dialing:  make(map[string]chan struct{}),
 		accepted: make(map[chanKey]*tcpChan),
+		rxPool:   shm.NewBufferPool(rxPoolRetain),
 	}
 }
 
@@ -218,17 +246,6 @@ func (n *Net) ServeTCP(bind string, tlsCfg *tls.Config) (string, error) {
 	st.mu.Unlock()
 	go st.acceptLoop(ln)
 	return adv, nil
-}
-
-// TCPAddr reports the advertised wire address ("" when not serving).
-func (n *Net) TCPAddr() string {
-	st := n.tcpState()
-	if st == nil {
-		return ""
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.advertise
 }
 
 // SetResolver installs the contact → wire-address lookup used when a
@@ -290,11 +307,14 @@ func (n *Net) TCPStatsSnapshot() TCPStats {
 }
 
 // ReportTCP publishes the wire transport's counters as monitor gauges
-// under prefix (e.g. "tcp."). Gauges merge with max-semantics, so
+// under prefix (e.g. "tcp."), the receive pool's next to them: a live
+// stream whose frames are being recycled shows rx_pool_reuses climbing
+// while rx_pool_allocs stays flat. Gauges merge with max-semantics, so
 // republishing from a poll loop is idempotent. A nop when the transport
 // was never used.
 func (n *Net) ReportTCP(m *monitor.Monitor, prefix string) {
-	if m == nil || n.tcpState() == nil {
+	st := n.tcpState()
+	if m == nil || st == nil {
 		return
 	}
 	s := n.TCPStatsSnapshot()
@@ -309,6 +329,10 @@ func (n *Net) ReportTCP(m *monitor.Monitor, prefix string) {
 	m.Set(prefix+"msgs_rx", int64(s.MsgsRX))
 	m.Set(prefix+"bytes_tx", int64(s.BytesTX))
 	m.Set(prefix+"bytes_rx", int64(s.BytesRX))
+	ps := st.rxPool.Stats()
+	m.Set(prefix+"rx_pool_reuses", ps.Reuses)
+	m.Set(prefix+"rx_pool_allocs", ps.Allocs)
+	m.Set(prefix+"rx_pool_high_bytes", ps.HighWater)
 }
 
 // CloseTCP shuts the wire transport down: serving sockets stop, every
@@ -455,8 +479,14 @@ type tcpLink struct {
 	dialerSide bool
 	readDone   chan struct{} // closed when demux exits (link fully drained)
 
+	// writeMu serializes frames onto the socket and guards the scratch
+	// state of sendFrame: wbuf holds the frame header (and the payload of
+	// coalesced frames); iov and bufs are the gather list of a writev send,
+	// kept here so building one does not allocate.
 	writeMu sync.Mutex
 	wbuf    []byte
+	iov     [2][]byte
+	bufs    net.Buffers
 
 	mu     sync.Mutex
 	conn   net.Conn
@@ -515,17 +545,30 @@ func (l *tcpLink) remove(key chanKey) {
 	l.mu.Unlock()
 }
 
-// sendFrame serializes one frame onto the socket. Any write error is
-// terminal for the link (the caller invokes fail).
+// sendFrame serializes one frame onto the socket. Small frames are
+// coalesced into wbuf; from coalesceBelow up, the header and the caller's
+// payload leave as one gather write (writev on a TCP socket, two Writes
+// on a tls.Conn), so the payload is never copied in user space and is
+// referenced only until the write returns. Any write error is terminal
+// for the link (the caller invokes fail).
 func (l *tcpLink) sendFrame(op byte, key chanKey, payload []byte) error {
 	l.writeMu.Lock()
 	defer l.writeMu.Unlock()
 	if l.isFailed() {
 		return errLinkFailed
 	}
-	buf := appendFrame(l.wbuf[:0], op, key, payload)
-	l.wbuf = buf[:0]
-	_, err := l.conn.Write(buf)
+	if len(payload) < coalesceBelow {
+		buf := appendFrame(l.wbuf[:0], op, key, payload)
+		l.wbuf = buf[:0]
+		_, err := l.conn.Write(buf)
+		return err
+	}
+	hdr := appendFrameHeader(l.wbuf[:0], op, key, len(payload))
+	l.wbuf = hdr[:0]
+	l.iov = [2][]byte{hdr, payload}
+	l.bufs = l.iov[:]
+	_, err := l.bufs.WriteTo(l.conn)
+	l.iov = [2][]byte{} // a failed write leaves entries behind: unpin the payload
 	return err
 }
 
@@ -632,7 +675,7 @@ func (l *tcpLink) demux() {
 	defer close(l.readDone)
 	defer l.conn.Close()
 	for {
-		f, err := readFrame(l.br, l.st.maxFrame())
+		f, err := readFrame(l.br, l.st.maxFrame(), l.st.rxPool)
 		if err != nil {
 			if errors.Is(err, ErrCorrupt) {
 				atomic.AddUint64(&l.st.ctr.protoErrs, 1)
@@ -666,15 +709,18 @@ func (st *tcpState) handleFrame(l *tcpLink, f frame) {
 			ch.deliverPending(errResumeRejected)
 		}
 	case opData:
+		m := st.lease(f.payload)
 		ch := l.lookup(key)
 		if ch == nil {
-			return // late frame for a channel closed on this side
+			m.put() // late frame for a channel closed on this side
+			return
 		}
 		st.bumpRX(len(f.payload) + FrameOverhead)
 		st.record(flight.KindRecv, "tcp.recv", ch.contact, len(f.payload)+FrameOverhead)
 		select {
-		case ch.inbox <- f.payload:
+		case ch.inbox <- m:
 		case <-ch.eof:
+			m.put()
 		}
 	case opClose:
 		var ch *tcpChan
@@ -1006,7 +1052,7 @@ type tcpChan struct {
 	dialer  bool
 	addr    string // redial target (dialer side)
 
-	inbox chan []byte
+	inbox chan *rxLease
 	eof   chan struct{}
 
 	mu          sync.Mutex
@@ -1024,7 +1070,7 @@ type tcpChan struct {
 func (st *tcpState) newChan(key chanKey, contact string, dialer bool, addr string) *tcpChan {
 	c := &tcpChan{
 		st: st, key: key, contact: contact, dialer: dialer, addr: addr,
-		inbox: make(chan []byte, st.config().InboxDepth),
+		inbox: make(chan *rxLease, st.config().InboxDepth),
 		eof:   make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -1230,10 +1276,66 @@ func (c *tcpChan) Send(msg []byte) error {
 	}
 }
 
-// Recv blocks for the next message; after the peer closes (or the
+// rxLease is one received data message on loan from the receive pool.
+// Leases are recycled along with their buffers, and release is bound to
+// the lease once, when it is first made — so lending a frame out with a
+// release func allocates nothing per frame.
+type rxLease struct {
+	st      *tcpState
+	buf     []byte // the message; nil for an empty one
+	release func() // == put
+}
+
+func (st *tcpState) lease(buf []byte) *rxLease {
+	var m *rxLease
+	st.leaseMu.Lock()
+	if n := len(st.freeLeases); n > 0 {
+		m, st.freeLeases = st.freeLeases[n-1], st.freeLeases[:n-1]
+	}
+	st.leaseMu.Unlock()
+	if m == nil {
+		m = &rxLease{st: st}
+		m.release = m.put
+	}
+	m.buf = buf
+	return m
+}
+
+func (st *tcpState) recycle(m *rxLease) {
+	st.leaseMu.Lock()
+	st.freeLeases = append(st.freeLeases, m)
+	st.leaseMu.Unlock()
+}
+
+// put ends the loan: the buffer returns to the pool for the next frame
+// and the lease to its free list. It must run exactly once per loan (the
+// HandleConn release contract); a second call would recycle a lease
+// someone else already holds.
+func (m *rxLease) put() {
+	if m.buf != nil {
+		m.st.rxPool.Put(m.buf)
+		m.buf = nil
+	}
+	m.st.recycle(m)
+}
+
+// keep turns the loan into a gift for a plain-Recv caller, who cannot say
+// when it is done with the bytes: the buffer leaves the pool's accounting
+// and is never reused.
+func (m *rxLease) keep() []byte {
+	buf := m.buf
+	if buf != nil {
+		m.st.rxPool.Forget(buf)
+		m.buf = nil
+	}
+	m.st.recycle(m)
+	return buf
+}
+
+// recv blocks for the next message; after the peer closes (or the
 // channel fails terminally) it drains buffered messages, then reports
 // io.EOF (clean close) or the terminal error.
-func (c *tcpChan) Recv() ([]byte, error) {
+func (c *tcpChan) recv() (*rxLease, error) {
 	select {
 	case m := <-c.inbox:
 		return m, nil
@@ -1251,6 +1353,28 @@ func (c *tcpChan) Recv() ([]byte, error) {
 		}
 		return nil, err
 	}
+}
+
+// Recv returns the next message. The caller owns the returned bytes for
+// good; they are never recycled.
+func (c *tcpChan) Recv() ([]byte, error) {
+	m, err := c.recv()
+	if err != nil {
+		return nil, err
+	}
+	return m.keep(), nil
+}
+
+// RecvHandle is the receive half of HandleConn (tcpChan deliberately has
+// no SendHandle: Send is its only send entry). It lends the next message
+// out of the receive pool: msg is valid until release is called, which
+// the caller must do exactly once; payload is always nil.
+func (c *tcpChan) RecvHandle() (msg, payload []byte, release func(), err error) {
+	m, err := c.recv()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return m.buf, nil, m.release, nil
 }
 
 // Close shuts the channel down both ways: a best-effort opClose tells

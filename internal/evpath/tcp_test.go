@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"flexio/internal/flight"
+	"flexio/internal/shm"
 )
 
 // tcpPair spins up a serving Net with a listener on contact and a client
@@ -27,8 +28,14 @@ import (
 // channel. Cleanup tears both transports down.
 func tcpPair(t *testing.T, contact string) (client, server *Net, dialer Conn, accepted Conn) {
 	t.Helper()
+	return tcpPairTLS(t, contact, nil, nil)
+}
+
+// tcpPairTLS is tcpPair over a TLS link when the two configs are non-nil.
+func tcpPairTLS(t *testing.T, contact string, srvCfg, cliCfg *tls.Config) (client, server *Net, dialer Conn, accepted Conn) {
+	t.Helper()
 	server = NewNet(nil)
-	adv, err := server.ServeTCP("127.0.0.1:0", nil)
+	adv, err := server.ServeTCP("127.0.0.1:0", srvCfg)
 	if err != nil {
 		t.Fatalf("ServeTCP: %v", err)
 	}
@@ -38,6 +45,9 @@ func tcpPair(t *testing.T, contact string) (client, server *Net, dialer Conn, ac
 	}
 	client = NewNet(nil)
 	client.SetResolver(func(string) (string, error) { return adv, nil })
+	if cliCfg != nil {
+		client.SetClientTLS(func(string) *tls.Config { return cliCfg })
+	}
 	t.Cleanup(func() { client.CloseTCP(); server.CloseTCP() })
 
 	got := make(chan Conn, 1)
@@ -188,28 +198,28 @@ func TestFramePartialReads(t *testing.T) {
 	wire = appendFrame(wire, opClose, key, nil) // second frame back-to-back
 
 	r := iotest.OneByteReader(bytes.NewReader(wire))
-	f1, err := readFrame(r, DefaultMaxFrame)
+	f1, err := readFrame(r, DefaultMaxFrame, nil)
 	if err != nil {
 		t.Fatalf("first frame: %v", err)
 	}
 	if f1.op != opData || f1.dialer != key.dialer || f1.chanID != key.id || !bytes.Equal(f1.payload, payload) {
 		t.Fatalf("first frame mismatch: op=%d dialer=%x chan=%x len=%d", f1.op, f1.dialer, f1.chanID, len(f1.payload))
 	}
-	f2, err := readFrame(r, DefaultMaxFrame)
+	f2, err := readFrame(r, DefaultMaxFrame, nil)
 	if err != nil {
 		t.Fatalf("second frame: %v", err)
 	}
 	if f2.op != opClose || len(f2.payload) != 0 {
 		t.Fatalf("second frame mismatch: op=%d len=%d", f2.op, len(f2.payload))
 	}
-	if _, err := readFrame(r, DefaultMaxFrame); !errors.Is(err, io.EOF) {
+	if _, err := readFrame(r, DefaultMaxFrame, nil); !errors.Is(err, io.EOF) {
 		t.Fatalf("after last frame: %v, want EOF", err)
 	}
 
 	// A frame truncated mid-payload must surface ErrUnexpectedEOF, never
 	// a short payload.
 	trunc := appendFrame(nil, opData, key, payload)[:4+frameHeaderLen+10]
-	if _, err := readFrame(bytes.NewReader(trunc), DefaultMaxFrame); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := readFrame(bytes.NewReader(trunc), DefaultMaxFrame, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated frame: %v, want ErrUnexpectedEOF", err)
 	}
 }
@@ -512,24 +522,39 @@ func TestTCPJournalAndWireOverhead(t *testing.T) {
 	}
 }
 
-// FuzzFrameDecode fuzzes the frame decoder: arbitrary bytes must never
-// panic or over-allocate, and every frame the encoder emits must decode
-// back to itself.
+// FuzzFrameDecode fuzzes the frame decoder, reading data payloads into a
+// receive pool as demux does: arbitrary bytes must never panic or make
+// the pool hand out more than the frame limit, a frame that fails to read
+// (truncated, oversized, corrupt) must leave no buffer checked out, and
+// every frame the encoder emits must decode back to itself.
 func FuzzFrameDecode(f *testing.F) {
 	key := chanKey{dialer: 1, id: 2}
 	f.Add(appendFrame(nil, opData, key, []byte("payload")))
 	f.Add(appendFrame(nil, opOpen, key, []byte("contact.e1.r0")))
 	f.Add(appendFrame(nil, opClose, key, nil))
+	f.Add(appendFrame(nil, opData, key, bytes.Repeat([]byte("x"), 300))[:100]) // truncated mid-payload
+	f.Add(appendFrameHeader(nil, opData, key, 1<<20))                          // announces more than max
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const max = 1 << 16
-		fr, err := readFrame(bytes.NewReader(data), max)
+		pool := shm.NewBufferPool(0)
+		fr, err := readFrame(bytes.NewReader(data), max, pool)
+		st := pool.Stats()
+		if st.HighWater > max {
+			t.Fatalf("pool lent %d bytes for one frame, limit %d", st.HighWater, max)
+		}
 		if err != nil {
+			if st.BytesInUse != 0 {
+				t.Fatalf("failed read (%v) left %d pool bytes checked out", err, st.BytesInUse)
+			}
 			return
 		}
 		if len(fr.payload) > max {
 			t.Fatalf("decoded payload %d exceeds max %d", len(fr.payload), max)
+		}
+		if pooled := fr.op == opData && len(fr.payload) > 0; pooled != (st.BytesInUse > 0) {
+			t.Fatalf("op %d with %d payload bytes: pool has %d bytes checked out", fr.op, len(fr.payload), st.BytesInUse)
 		}
 		// Round-trip: re-encoding the decoded frame must reproduce the
 		// consumed prefix exactly.

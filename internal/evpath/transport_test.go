@@ -260,106 +260,3 @@ func TestManyConcurrentConns(t *testing.T) {
 		t.Fatalf("got %d distinct hellos, want %d", len(got), peers)
 	}
 }
-
-func TestStoneGraph(t *testing.T) {
-	var sink []*Event
-	term := &TerminalStone{Handler: func(ev *Event) error {
-		sink = append(sink, ev)
-		return nil
-	}}
-	filter := NewFilterStone(func(ev *Event) (*Event, error) {
-		if v, _ := ev.Meta.GetInt("keep"); v == 0 {
-			return nil, nil // drop
-		}
-		return ev, nil
-	}, term)
-	for i := 0; i < 4; i++ {
-		filter.Submit(&Event{Meta: Record{"keep": int64(i % 2)}})
-	}
-	if len(sink) != 2 {
-		t.Fatalf("filter passed %d events, want 2", len(sink))
-	}
-}
-
-func TestFilterStoneSwap(t *testing.T) {
-	count := 0
-	term := &TerminalStone{Handler: func(*Event) error { count++; return nil }}
-	f := NewFilterStone(nil, term)
-	f.Submit(&Event{Meta: Record{}})
-	f.SetFilter(func(*Event) (*Event, error) { return nil, nil }) // drop all
-	f.Submit(&Event{Meta: Record{}})
-	if count != 1 {
-		t.Fatalf("count = %d, want 1 (second event dropped by swapped filter)", count)
-	}
-}
-
-func TestSplitStone(t *testing.T) {
-	var a, b int
-	split := &SplitStone{Outputs: []Stone{
-		&TerminalStone{Handler: func(*Event) error { a++; return nil }},
-		&TerminalStone{Handler: func(*Event) error { b++; return nil }},
-	}}
-	split.Submit(&Event{Meta: Record{}})
-	if a != 1 || b != 1 {
-		t.Fatalf("fan-out failed: a=%d b=%d", a, b)
-	}
-}
-
-func TestSplitStoneErrorPropagates(t *testing.T) {
-	boom := errors.New("boom")
-	split := &SplitStone{Outputs: []Stone{
-		&TerminalStone{Handler: func(*Event) error { return boom }},
-	}}
-	if err := split.Submit(&Event{Meta: Record{}}); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestBridgeAndPump(t *testing.T) {
-	n := newTestNet()
-	l, _ := n.Listen("viz")
-	conn, err := n.Dial("viz", ShmTransport, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peer, _ := l.Accept()
-
-	bridge := &BridgeStone{Conn: conn}
-	var got []*Event
-	var mu sync.Mutex
-	term := &TerminalStone{Handler: func(ev *Event) error {
-		mu.Lock()
-		got = append(got, ev)
-		mu.Unlock()
-		return nil
-	}}
-	pumpDone := make(chan error, 1)
-	go func() { pumpDone <- PumpConn(peer, term) }()
-
-	for i := 0; i < 5; i++ {
-		err := bridge.Submit(&Event{
-			Meta: Record{"step": int64(i)},
-			Data: bytes.Repeat([]byte{byte(i)}, 2048),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	conn.Close()
-	if err := <-pumpDone; err != nil {
-		t.Fatalf("pump: %v", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 5 {
-		t.Fatalf("pumped %d events, want 5", len(got))
-	}
-	for i, ev := range got {
-		if s, _ := ev.Meta.GetInt("step"); s != int64(i) {
-			t.Fatalf("event %d out of order (step %d)", i, s)
-		}
-		if len(ev.Data) != 2048 || ev.Data[0] != byte(i) {
-			t.Fatalf("event %d payload corrupt", i)
-		}
-	}
-}

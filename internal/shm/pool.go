@@ -97,6 +97,16 @@ func (p *BufferPool) Put(buf []byte) {
 	p.stats.BytesFree += int64(class)
 }
 
+// Forget takes a buffer obtained from Get out of the pool's accounting
+// without retaining it: the caller keeps the buffer for good (the
+// garbage collector frees it), so BytesInUse stops counting it. For
+// consumers that cannot say when they are done with a buffer.
+func (p *BufferPool) Forget(buf []byte) {
+	p.mu.Lock()
+	p.stats.BytesInUse -= int64(cap(buf))
+	p.mu.Unlock()
+}
+
 // Stats returns a snapshot of pool counters.
 func (p *BufferPool) Stats() PoolStats {
 	p.mu.Lock()
