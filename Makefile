@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check ci fmt vet build test race e2e bench soak reconfig trace critpath replay multiproc fleetobs
+.PHONY: check ci fmt vet build test race e2e bench soak reconfig trace replay multiproc fleetobs
 
 ## check: everything a PR must pass — formatting, vet, build, race tests,
 ## and the benchmark's smoke test.
@@ -15,7 +15,6 @@ ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -run TestNopOverheadBudget -count=1 ./internal/monitor/
 	$(GO) test -run TestFlightNopOverheadBudget -count=1 ./internal/flight/
 	$(GO) test -run TestRedistMappingBudget -count=1 .
 	$(GO) test -run TestTCPStatsNopBudget -count=1 ./internal/evpath/
@@ -41,10 +40,11 @@ build:
 test:
 	$(GO) test ./...
 
-## race: race-detector run over the packages on the M×N data path.
+## race: race-detector run over the packages on the M×N data path and
+## its one recorder (flight journal → monitor histograms → collector).
 race:
 	$(GO) test -race -count=1 ./internal/core/ ./internal/ndarray/ ./internal/shm/ \
-		./internal/monitor/ ./internal/coupled/
+		./internal/monitor/ ./internal/flight/ ./internal/obsplane/ ./internal/coupled/
 
 ## e2e: vet and smoke-test flexio-bench (benchmark/ is a module of its
 ## own, so the root `./...` never reaches it). It imports internal/...
@@ -78,20 +78,15 @@ bench:
 reconfig:
 	$(GO) run ./cmd/flexbench -exp reconfig
 
-## trace: observability walkthrough — runs an instrumented stream through
-## a mid-run reconfiguration plus the observation-steered coupled model,
-## writing trace.json (load in ui.perfetto.dev or about:tracing) and
-## metrics.json, with live /metrics served during the run.
+## trace: the one-record-stream drill — runs an instrumented stream
+## through a mid-run reconfiguration (live /metrics, /journal, /trace and
+## /critpath self-checked mid-run), the observation-steered coupled
+## model, and the switched coupled scenario cut into per-step critical
+## paths (edge sums must stay within 5% of each step's event envelope,
+## Analyze's own invariant); writes trace.json (load in ui.perfetto.dev
+## or about:tracing), metrics.json, journal.json and critpath.json.
 trace:
 	$(GO) run ./cmd/flexbench -exp trace -metrics 127.0.0.1:0
-
-## critpath: flight-recorder walkthrough — journals the switched coupled
-## run, extracts each step's critical path (edges must sum to the step's
-## span envelope within 5%), writes journal.json + critpath.json, and
-## refreshes the recorder micro-benchmarks in BENCH_flight.json while
-## preserving the committed nop budget.
-critpath:
-	$(GO) run ./cmd/flexbench -exp critpath
 
 ## multiproc: the real-deployment drill — re-execs flexbench into one
 ## directory server plus four flexnode daemons (writer leader + worker,
@@ -120,10 +115,10 @@ soak:
 ## fleetobs: the fleet observability drill under the race detector — a
 ## directory server plus four flexnode daemons stream two tenants over
 ## TCP while a collector discovers them through leased obs! entries,
-## scrapes their monitor endpoints, stitches cross-process step traces
-## (stitched counts must equal the writers' flight journals exactly,
-## zero span gaps), extracts a critical path that crosses the process
-## boundary over send.tcp, and latches an SLO breach on the slow tenant
+## scrapes their /report and /journal endpoints, stitches cross-process
+## step traces (stitched counts must equal the writers' flight journals
+## exactly, zero event gaps), extracts a critical path that crosses the
+## process boundary over send.tcp, and latches an SLO breach on the slow tenant
 ## that drives a fabric resize. The outer timeout is a guard for
 ## `make ci` (falls back to running bare where coreutils' timeout is
 ## absent).

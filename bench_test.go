@@ -40,7 +40,7 @@ func figureBench(b *testing.B, id string, metric func(*experiment.Figure) map[st
 	var fig *experiment.Figure
 	var err error
 	for i := 0; i < b.N; i++ {
-		fig, err = driver.Run()
+		fig, err = driver.Run(experiment.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -26,8 +26,7 @@ func main() {
 	metrics := flag.String("metrics", "", "serve live monitoring over HTTP at host:port during the trace experiment (e.g. 127.0.0.1:8123)")
 	perturb := flag.Bool("perturb", false, "inject a model perturbation into the replay experiment's second run (must be detected as a divergence)")
 	flag.Parse()
-	experiment.SetMetricsAddr(*metrics)
-	experiment.SetReplayPerturb(*perturb)
+	opts := experiment.Options{MetricsAddr: *metrics, Perturb: *perturb}
 
 	if *list {
 		for _, id := range experiment.IDs() {
@@ -36,7 +35,7 @@ func main() {
 		return
 	}
 	if *exp == "all" {
-		if err := experiment.RunAll(os.Stdout); err != nil {
+		if err := experiment.RunAll(os.Stdout, opts); err != nil {
 			fmt.Fprintln(os.Stderr, "flexbench:", err)
 			os.Exit(1)
 		}
@@ -47,7 +46,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "flexbench: unknown experiment %q; known: %v\n", *exp, experiment.IDs())
 		os.Exit(2)
 	}
-	fig, err := driver.Run()
+	fig, err := driver.Run(opts)
 	if fig != nil {
 		fig.Fprint(os.Stdout) //nolint:errcheck
 	}

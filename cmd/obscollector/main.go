@@ -78,7 +78,7 @@ func main() {
 	}
 	c.Start()
 	fmt.Printf("flexio fleet collector on http://%s (directory %s, %d SLOs)\n", addr, *dirAddr, len(slos))
-	fmt.Println("endpoints: /fleet/metrics /fleet/spans /fleet/critpath /fleet/slo")
+	fmt.Println("endpoints: /fleet/metrics /fleet/steps /fleet/critpath /fleet/slo")
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -2,17 +2,31 @@ package core
 
 import (
 	"flexio/internal/flight"
+	"flexio/internal/monitor"
 	"flexio/internal/shm"
 )
 
-// Flight-recorder attachment for the real data plane. The journaled
-// chain mirrors the span chain of PR 4 — writer.flush → writer.pack →
-// send.<transport> → reader.accept → reader.assemble — with explicit
-// causal parents on the writer side, so critical-path analysis works on
-// live streams too. Core streams are multi-goroutine: their journals
-// feed critpath and trace export, but (unlike the virtual-time coupled
-// model) their event order is not replay-deterministic, so replay
-// hashing only covers the simulated runs.
+// Flight-recorder attachment for the real data plane. Every data-path
+// stage — writer.flush → writer.pack → dc.plugin → send.<transport> →
+// reader.accept → dc.plugin → reader.assemble — is one journal stage
+// (flight.Journal.Begin) with explicit causal parents on the writer
+// side, so critical-path analysis works on live streams too. The same
+// call folds the stage's duration into the group monitor's histogram of
+// that point, so monitor-only groups keep their per-point latencies and
+// groups with neither sink pay one branch per stage. Core streams are
+// multi-goroutine: their journals feed critpath and trace export, but
+// (unlike the virtual-time coupled model) their event order is not
+// replay-deterministic, so replay hashing only covers the simulated runs.
+
+// observer hands a group's monitor to its journal stages as their
+// duration observer. A nil monitor must stay a nil interface, or a group
+// with no sink attached would time stages nobody records.
+func observer(mon *monitor.Monitor) flight.Observer {
+	if mon == nil {
+		return nil
+	}
+	return mon
+}
 
 // SetJournal attaches a flight recorder to the writer group. Call it
 // before the first EndStep; the data plane reads the field without a

@@ -33,13 +33,7 @@ func (g *WriterGroup) shipMonitorReport(step int64) {
 	if coord == nil {
 		return
 	}
-	snap := g.mon.Snapshot()
-	// Spans stay local: the per-rank ring can hold thousands of entries and
-	// the reader only needs the aggregate histograms for steering. Trace
-	// export merges span buffers from the monitors directly.
-	snap.Spans = nil
-	snap.SpansDropped = 0
-	payload, err := json.Marshal(snap)
+	payload, err := json.Marshal(g.mon.Snapshot())
 	if err != nil {
 		return
 	}

@@ -64,7 +64,7 @@ func (w *writerPlugins) remove(name string) bool {
 }
 
 // empty reports whether no codelet is installed — the data path checks
-// it to skip per-event span bookkeeping when conditioning is off.
+// it to skip the per-event dc.plugin stage when conditioning is off.
 func (w *writerPlugins) empty() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()

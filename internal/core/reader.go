@@ -394,17 +394,20 @@ func (g *ReaderGroup) routeEvent(r int, ev *evpath.Event, release func()) {
 // event or substitutes its payload, the buffer goes back to the writer
 // here instead.
 func (g *ReaderGroup) acceptData(r int, ev *evpath.Event, release func()) {
-	// The step is read before the plug-in chain runs so the dc.plugin span
-	// correlates with the writer-side spans of the same timestep even when
-	// a filter rewrites or drops the event.
-	preStep, _ := ev.Meta.GetInt("step")
 	orig := ev.Data
 	g.mu.Lock()
 	plugins := g.plugins
 	g.mu.Unlock()
 	if len(plugins) > 0 {
-		sp := g.mon.StartSpan("dc.plugin", preStep, r).SetEpoch(g.sess.Epoch()).SetScope(g.key)
-		defer sp.End()
+		// The step is read before the plug-in chain runs so the dc.plugin
+		// event correlates with the writer-side events of the same
+		// timestep even when a filter rewrites or drops the event.
+		preStep, _ := ev.Meta.GetInt("step")
+		plug := g.journal.Begin(observer(g.mon), flight.Event{
+			Kind: flight.KindCompute, Point: "dc.plugin", Scope: g.key,
+			Rank: r, Step: preStep, Epoch: g.sess.Epoch(),
+		})
+		defer plug.End()
 	}
 	for _, p := range plugins {
 		out, err := p.fn(ev)
@@ -643,13 +646,11 @@ func (r *Reader) ReadArray(name string) ([]byte, ndarray.Box, error) {
 		return nil, ndarray.Box{}, fmt.Errorf("core: reader %d did not select %q", r.Rank, name)
 	}
 	box := sel[r.Rank]
-	sp := g.mon.StartSpan("reader.assemble", r.curStep, r.Rank).SetEpoch(g.sess.Epoch()).SetScope(g.key)
-	defer sp.End()
-	asmEv := g.journal.Begin(flight.Event{
+	asm := g.journal.Begin(observer(g.mon), flight.Event{
 		Kind: flight.KindCompute, Point: "reader.assemble", Scope: g.key,
 		Rank: r.Rank, Step: r.curStep, Epoch: g.sess.Epoch(),
 	})
-	defer g.journal.End(asmEv)
+	defer asm.End()
 	if r.inReplay {
 		return r.readReplayArray(name, box)
 	}

@@ -2,45 +2,48 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"flexio/internal/evpath"
+	"flexio/internal/flight"
 	"flexio/internal/monitor"
 	"flexio/internal/ndarray"
 )
 
-// TestStepSpansCorrelateAcrossRanks is the tracing acceptance check: one
-// timestep's pack → send → assemble → plug-in spans, recorded by the
-// writer-side and reader-side monitors independently, correlate by
-// (step, epoch) in the merged report, and the writer-side stage spans
-// hang off that step's writer.flush span.
-func TestStepSpansCorrelateAcrossRanks(t *testing.T) {
+// runTracedStream runs a 2-writer / 2-reader shm stream for three steps
+// with pass-through data-conditioning filters on both sides, so every
+// recorder site fires: writer.flush, writer.pack, dc.plugin (writer),
+// send.shm, reader.accept, dc.plugin (reader), reader.assemble. Any of
+// the sinks may be nil.
+func runTracedStream(t *testing.T, stream string, wm, rm *monitor.Monitor, j *flight.Journal) {
+	t.Helper()
 	const nw, nr, steps = 2, 2, 3
 	h := newHarness()
 	shape := []int64{16, 16}
 	global := ndarray.BoxFromShape(shape)
 	wdec, _ := ndarray.BlockDecompose(shape, ndarray.FactorGrid(nw, 2))
 	rdec, _ := ndarray.BlockDecompose(shape, ndarray.FactorGrid(nr, 2))
-	wm := monitor.New("writers")
-	rm := monitor.New("readers")
 	opts := Options{Transport: func(w, r int) (evpath.TransportKind, int, int) {
 		return evpath.ShmTransport, 0, 0
 	}}
 
-	wg, err := NewWriterGroup(h.net, h.dir, "span-correlate", nw, opts, wm)
+	wg, err := NewWriterGroup(h.net, h.dir, stream, nw, opts, wm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rg, err := NewReaderGroup(h.net, h.dir, "span-correlate", nr, rm)
+	rg, err := NewReaderGroup(h.net, h.dir, stream, nr, rm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A pass-through conditioning filter so reader-side dc.plugin spans
-	// appear on the arriving events.
-	rg.InstallPlugin(func(ev *evpath.Event) (*evpath.Event, error) { return ev, nil })
+	wg.SetJournal(j)
+	rg.SetJournal(j)
+	pass := func(ev *evpath.Event) (*evpath.Event, error) { return ev, nil }
+	wg.plugins.install("pass", pass)
+	rg.InstallPlugin(pass)
 
 	var writers, readers sync.WaitGroup
 	for w := 0; w < nw; w++ {
@@ -103,69 +106,137 @@ func TestStepSpansCorrelateAcrossRanks(t *testing.T) {
 	}
 	readers.Wait()
 	rg.Close()
+}
 
-	merged := monitor.Merge("trace", wm.Snapshot(), rm.Snapshot())
+// TestStepSpansCorrelateAcrossRanks is the tracing acceptance check: one
+// timestep's pack → send → assemble → plug-in spans — journal events
+// with extent, recorded by the writer and reader groups into one journal
+// — correlate by (step, epoch, scope), and the writer-side stage events
+// hang off that step's writer.flush event.
+func TestStepSpansCorrelateAcrossRanks(t *testing.T) {
+	j := flight.NewJournal(0)
+	runTracedStream(t, "span-correlate", nil, nil, j)
+
 	const probe = int64(1) // a mid-run step
-	byPoint := map[string][]monitor.Span{}
-	for _, sp := range merged.Spans {
-		if sp.Step == probe {
-			byPoint[sp.Point] = append(byPoint[sp.Point], sp)
+	byPoint := map[string][]flight.Event{}
+	for _, ev := range j.Snapshot() {
+		if ev.Step == probe {
+			byPoint[ev.Point] = append(byPoint[ev.Point], ev)
 		}
 	}
-	for _, want := range []string{"writer.flush", "writer.pack", "send.shm", "reader.assemble", "dc.plugin"} {
+	for _, want := range []string{"writer.flush", "writer.pack", "send.shm", "reader.accept", "reader.assemble", "dc.plugin"} {
 		if len(byPoint[want]) == 0 {
-			t.Fatalf("step %d has no %q span; got points %v", probe, want, pointsOf(merged.Spans))
+			t.Fatalf("step %d has no %q event; got points %v", probe, want, byPoint)
 		}
 	}
-	// All stages of the step ran under the same session epoch.
-	for pt, sps := range byPoint {
-		for _, sp := range sps {
-			if sp.Epoch != 1 {
-				t.Fatalf("%s span has epoch %d, want 1: %+v", pt, sp.Epoch, sp)
+	// All stages of the step ran under the same session epoch and stream.
+	for pt, evs := range byPoint {
+		for _, ev := range evs {
+			if ev.Epoch != 1 || ev.Scope != "span-correlate" {
+				t.Fatalf("%s event has epoch %d scope %q, want 1 and the stream: %+v", pt, ev.Epoch, ev.Scope, ev)
 			}
 		}
 	}
-	// Writer-side stage spans hang off this step's flush span.
+	// Writer-side stage events hang off this step's flush event.
 	flushID := byPoint["writer.flush"][0].ID
 	for _, pt := range []string{"writer.pack", "send.shm"} {
-		for _, sp := range byPoint[pt] {
-			if sp.Parent != flushID {
-				t.Fatalf("%s span parent %d != flush span %d", pt, sp.Parent, flushID)
+		for _, ev := range byPoint[pt] {
+			if ev.Parent != flushID {
+				t.Fatalf("%s event parent %d != flush event %d", pt, ev.Parent, flushID)
 			}
 		}
 	}
 	// Every writer rank packed and every reader rank assembled.
 	wantRanks := func(pt string, n int) {
 		seen := map[int]bool{}
-		for _, sp := range byPoint[pt] {
-			seen[sp.Rank] = true
+		for _, ev := range byPoint[pt] {
+			seen[ev.Rank] = true
 		}
 		if len(seen) != n {
-			t.Fatalf("%s spans cover ranks %v, want %d ranks", pt, seen, n)
+			t.Fatalf("%s events cover ranks %v, want %d ranks", pt, seen, n)
 		}
 	}
-	wantRanks("writer.pack", nw)
-	wantRanks("reader.assemble", nr)
-	// Origins separate the two sides.
-	if byPoint["writer.pack"][0].Origin != "writers" || byPoint["reader.assemble"][0].Origin != "readers" {
-		t.Fatalf("origins not stamped: %+v %+v", byPoint["writer.pack"][0], byPoint["reader.assemble"][0])
+	wantRanks("writer.pack", 2)
+	wantRanks("reader.assemble", 2)
+}
+
+// TestRecorderParity: each data-path site makes one recorder call that
+// feeds whichever sink is attached. A monitor-only run reports the
+// per-point histogram counts a journal-only run journals, and both equal
+// what the two recorders produced before they were one: the monitor's
+// points minus the duplicate "flush" timer, the journal's events plus
+// the two dc.plugin sites that used to record spans only.
+func TestRecorderParity(t *testing.T) {
+	wm, rm := monitor.New("writers"), monitor.New("readers")
+	runTracedStream(t, "parity-mon", wm, rm, nil)
+	timings := monitor.Merge("both", wm.Snapshot(), rm.Snapshot()).Timings
+	j := flight.NewJournal(0)
+	runTracedStream(t, "parity-jrn", nil, nil, j)
+	journaled := map[string]int64{}
+	for _, ev := range j.Snapshot() {
+		journaled[ev.Point]++
+	}
+
+	// What the two-recorder code recorded for this exact stream: the
+	// monitor from spans plus the "flush" timer, the journal from events.
+	parentMonitor := map[string]int64{
+		"flush": 3, "writer.flush": 3, "writer.pack": 6, "dc.plugin": 12,
+		"send.shm": 18, "reader.assemble": 6,
+	}
+	parentJournal := map[string]int64{
+		"writer.flush": 3, "writer.pack": 6, "send.shm": 18,
+		"reader.accept": 6, "reader.assemble": 6,
+	}
+	wantMonitor := map[string]int64{}
+	for pt, n := range parentMonitor {
+		if pt != "flush" {
+			wantMonitor[pt] = n
+		}
+	}
+	wantJournal := map[string]int64{"dc.plugin": parentMonitor["dc.plugin"]}
+	for pt, n := range parentJournal {
+		wantJournal[pt] = n
+	}
+
+	gotMonitor := map[string]int64{}
+	for pt, st := range timings {
+		gotMonitor[pt] = st.Count
+	}
+	if fmt.Sprint(gotMonitor) != fmt.Sprint(wantMonitor) {
+		t.Errorf("monitor-only counts %v, want %v", gotMonitor, wantMonitor)
+	}
+	if fmt.Sprint(journaled) != fmt.Sprint(wantJournal) {
+		t.Errorf("journal-only counts %v, want %v", journaled, wantJournal)
 	}
 }
 
-func pointsOf(spans []monitor.Span) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, sp := range spans {
-		if !seen[sp.Point] {
-			seen[sp.Point] = true
-			out = append(out, sp.Point)
-		}
+// TestNoSinkSendStageAllocFree: with neither a journal nor a monitor
+// attached, opening and closing the send stage — the site with the most
+// formatting behind its guard — allocates nothing.
+func TestNoSinkSendStageAllocFree(t *testing.T) {
+	g := &WriterGroup{key: "acme/gts"}
+	tr := stepTrace{epoch: 1, parent: 7}
+	var conn evpath.Conn = stageConn{}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		st := g.beginSend(conn, 1, 0, 3, tr, 4096)
+		st.End()
+	}); allocs != 0 {
+		t.Fatalf("no-sink send stage allocates %v times per call, want 0", allocs)
 	}
-	return out
 }
+
+// stageConn is a do-nothing connection for recorder-only tests.
+type stageConn struct{}
+
+func (stageConn) Send([]byte) error     { return nil }
+func (stageConn) Recv() ([]byte, error) { return nil, nil }
+func (stageConn) Close() error          { return nil }
+func (stageConn) Transport() string     { return "shm" }
 
 // TestShippedReportOmitsSpans: the per-step online report crossing the
-// coordinator channel carries histograms but not the span ring.
+// coordinator channel carries the aggregate histograms only — per-step
+// records stay in the journal — so each shipped step costs a few hundred
+// bytes of JSON per point, not a copy of a trace ring.
 func TestShippedReportOmitsSpans(t *testing.T) {
 	wm := monitor.New("writers")
 	_, rm := runTracePair(t, wm)
@@ -173,11 +244,15 @@ func TestShippedReportOmitsSpans(t *testing.T) {
 	if !ok {
 		t.Fatal("no writer report arrived")
 	}
-	if len(rep.Spans) != 0 {
-		t.Fatalf("shipped report carries %d spans, want 0", len(rep.Spans))
-	}
-	if rep.Timings["flush"].Count == 0 {
+	if rep.Timings["writer.flush"].Count == 0 {
 		t.Fatalf("shipped report lost timings: %+v", rep.Timings)
+	}
+	blob, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := 1024 * (len(rep.Timings) + 4); len(blob) > limit {
+		t.Fatalf("shipped report is %d bytes for %d points, want under %d", len(blob), len(rep.Timings), limit)
 	}
 }
 
@@ -236,7 +311,7 @@ func runTracePair(t *testing.T, wm *monitor.Monitor) (monitor.Report, func() (mo
 	// The reports travel the coordinator channel asynchronously; wait for
 	// the last step's before tearing the reader down. The first one would
 	// not do: step 0's report is snapshotted inside flush, before the
-	// deferred "flush" timer has ever stopped, so it carries no flush
+	// deferred writer.flush stage has ended, so it carries no flush
 	// timing — only a later step's report shows the earlier flushes.
 	deadline := time.Now().Add(5 * time.Second)
 	for {

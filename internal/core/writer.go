@@ -379,16 +379,14 @@ func distFingerprint(metaByRank map[int][]varData, name string, nWriters int) st
 	return s
 }
 
-// stepTrace carries the correlation attributes every span opened on one
+// stepTrace carries the correlation attributes every stage opened on one
 // timestep's data path shares: the session epoch and the id of the
-// enclosing writer.flush span, so a Chrome trace links pack → send →
-// assemble → plug-in events across ranks. jparent is the same link for
-// the flight journal: the flush event every pack/send event descends
-// from, which is what lets the critical-path extractor chain them.
+// enclosing writer.flush event every pack/plug-in/send event descends
+// from, which is what lets the critical-path extractor chain them and a
+// Chrome trace link them across ranks.
 type stepTrace struct {
-	epoch   uint64
-	parent  uint64
-	jparent flight.EventID
+	epoch  uint64
+	parent flight.EventID
 }
 
 // flush performs the per-step protocol: apply a parked reconfiguration
@@ -397,19 +395,13 @@ type stepTrace struct {
 // the caching level demands, then pack and send each writer's pieces
 // (Step 4.s).
 func (g *WriterGroup) flush(ps *pendingStep) error {
-	var stopTimer func()
-	if g.mon != nil {
-		stopTimer = g.mon.Start("flush")
-		defer stopTimer()
-	}
-	flushSpan := g.mon.StartSpan("writer.flush", ps.step, 0).SetEpoch(g.sess.Epoch()).SetScope(g.key)
-	defer flushSpan.End()
-	flushEv := g.journal.Begin(flight.Event{
+	epoch := g.sess.Epoch()
+	flushSt := g.journal.Begin(observer(g.mon), flight.Event{
 		Kind: flight.KindCompute, Point: "writer.flush", Scope: g.key,
-		Step: ps.step, Epoch: g.sess.Epoch(),
+		Step: ps.step, Epoch: epoch,
 	})
-	defer g.journal.End(flushEv)
-	tr := stepTrace{epoch: g.sess.Epoch(), parent: flushSpan.SpanID(), jparent: flushEv}
+	defer flushSt.End()
+	tr := stepTrace{epoch: epoch, parent: flushSt.ID()}
 	g.selMu.Lock()
 	readerGone := g.readerClosed
 	g.selMu.Unlock()
@@ -517,14 +509,12 @@ func (g *WriterGroup) flush(ps *pendingStep) error {
 func (g *WriterGroup) sendPerVariable(ps *pendingStep, sel readerSelections, tr stepTrace) error {
 	return parallelFor(g.NWriters, g.opts.PackWorkers, func(w int) error {
 		for _, v := range ps.vars[w] {
-			packSpan := g.mon.StartSpan("writer.pack", ps.step, w).SetEpoch(tr.epoch).SetParent(tr.parent).SetScope(g.key)
-			packEv := g.journal.Begin(flight.Event{
+			pack := g.journal.Begin(observer(g.mon), flight.Event{
 				Kind: flight.KindCompute, Point: "writer.pack", Scope: g.key,
-				Rank: w, Step: ps.step, Epoch: tr.epoch, Parent: tr.jparent,
+				Rank: w, Step: ps.step, Epoch: tr.epoch, Parent: tr.parent,
 			})
 			pieces, err := g.piecesFor(ps.step, w, v, sel)
-			g.journal.End(packEv)
-			packSpan.End()
+			pack.End()
 			if err != nil {
 				return err
 			}
@@ -593,15 +583,18 @@ func sameBytes(a, b []byte) bool {
 }
 
 // applyWriterPlugins runs the deployed data-conditioning chain on one
-// outgoing event, recording a dc.plugin span (writer's address space)
+// outgoing event, recording a dc.plugin stage (writer's address space)
 // when any codelet is installed. nil, nil means the event was dropped.
 func (g *WriterGroup) applyWriterPlugins(ev *evpath.Event, step int64, w int, tr stepTrace) (*evpath.Event, error) {
 	if g.plugins.empty() {
 		return ev, nil
 	}
-	sp := g.mon.StartSpan("dc.plugin", step, w).SetEpoch(tr.epoch).SetParent(tr.parent).SetScope(g.key)
+	plug := g.journal.Begin(observer(g.mon), flight.Event{
+		Kind: flight.KindCompute, Point: "dc.plugin", Scope: g.key,
+		Rank: w, Step: step, Epoch: tr.epoch, Parent: tr.parent,
+	})
 	out, err := g.plugins.apply(ev)
-	sp.End()
+	plug.End()
 	if err != nil {
 		return nil, err
 	}
@@ -630,14 +623,12 @@ func (g *WriterGroup) sendBatched(ps *pendingStep, sel readerSelections, tr step
 		}()
 		perReader := make(map[int][]*evpath.Event)
 		for _, v := range ps.vars[w] {
-			packSpan := g.mon.StartSpan("writer.pack", ps.step, w).SetEpoch(tr.epoch).SetParent(tr.parent).SetScope(g.key)
-			packEv := g.journal.Begin(flight.Event{
+			pack := g.journal.Begin(observer(g.mon), flight.Event{
 				Kind: flight.KindCompute, Point: "writer.pack", Scope: g.key,
-				Rank: w, Step: ps.step, Epoch: tr.epoch, Parent: tr.jparent,
+				Rank: w, Step: ps.step, Epoch: tr.epoch, Parent: tr.parent,
 			})
 			pieces, err := g.piecesFor(ps.step, w, v, sel)
-			g.journal.End(packEv)
-			packSpan.End()
+			pack.End()
 			if err != nil {
 				return err
 			}
@@ -808,10 +799,9 @@ func (g *WriterGroup) sendEvent(w, r int, ev *evpath.Event, step int64, tr stepT
 // the transport is done with it when Send returns. The concatenating
 // encode remains for everything else: no buf (control events, batches, a
 // plug-in replaced Data), a header that outgrows the room, NoZeroCopy.
-// The send span/journal event keeps the "send.<transport>" point either
-// way — on the hand-off path its Bytes shrink to the header, which is how
-// the critical path shows the writer→reader seam collapsing to
-// handle-passing cost.
+// The send event keeps the "send.<transport>" point either way — on the
+// hand-off path its Bytes shrink to the header, which is how the critical
+// path shows the writer→reader seam collapsing to handle-passing cost.
 func (g *WriterGroup) sendPiece(w, r int, ev *evpath.Event, step int64, tr stepTrace, buf []byte, owned bool) (handedOff bool, err error) {
 	conn := g.conns[w][r]
 	inPlace := buf != nil && !g.opts.NoZeroCopy
@@ -843,25 +833,7 @@ func (g *WriterGroup) sendPiece(w, r int, ev *evpath.Event, step int64, tr stepT
 			return false, err
 		}
 	}
-	var sendSpan monitor.ActiveSpan
-	if g.mon != nil { // guard: span name concat must not run on the nil path
-		sendSpan = g.mon.StartSpan("send."+conn.Transport(), step, w).SetEpoch(tr.epoch).SetParent(tr.parent).SetScope(g.key)
-	}
-	var sendEv flight.EventID
-	if g.journal != nil { // same guard for the channel-name formatting
-		wire := int64(len(msg))
-		if wc, ok := conn.(evpath.WireConn); ok {
-			// Real wire transports frame every message; attribute the
-			// bytes actually on the wire, not just the payload.
-			wire += int64(wc.WireOverhead())
-		}
-		sendEv = g.journal.Begin(flight.Event{
-			Kind: flight.KindSend, Point: "send." + conn.Transport(),
-			Channel: fmt.Sprintf("w%d>r%d", w, r), Scope: g.key,
-			Rank: w, Step: step, Epoch: tr.epoch, Parent: tr.jparent,
-			Bytes: wire,
-		})
-	}
+	send := g.beginSend(conn, w, r, step, tr, len(msg))
 	if hc != nil {
 		err = hc.SendHandle(msg, buf[headerRoom:], func() { g.payloadPool.Put(buf) })
 		switch {
@@ -877,8 +849,7 @@ func (g *WriterGroup) sendPiece(w, r int, ev *evpath.Event, step int64, tr stepT
 	} else {
 		err = g.sendWithRetry(conn, msg)
 	}
-	g.journal.End(sendEv)
-	sendSpan.End()
+	send.End()
 	if g.mon != nil && buf != nil && owned && conn.Transport() == "shm" {
 		// Same-node array payload: did it cross by reference?
 		if handedOff {
@@ -909,6 +880,26 @@ func (g *WriterGroup) sendPiece(w, r int, ev *evpath.Event, step int64, tr stepT
 		g.mon.AddVolume("data.bytes", sent)
 	}
 	return handedOff, nil
+}
+
+// beginSend opens the send.<transport> stage for one message of msgLen
+// bytes from writer w to reader r.
+func (g *WriterGroup) beginSend(conn evpath.Conn, w, r int, step int64, tr stepTrace, msgLen int) flight.Stage {
+	if g.journal == nil && g.mon == nil { // the point concat and channel formatting must not run on the nil path
+		return flight.Stage{}
+	}
+	wire := int64(msgLen)
+	if wc, ok := conn.(evpath.WireConn); ok {
+		// Real wire transports frame every message; attribute the bytes
+		// actually on the wire, not just the payload.
+		wire += int64(wc.WireOverhead())
+	}
+	return g.journal.Begin(observer(g.mon), flight.Event{
+		Kind: flight.KindSend, Point: "send." + conn.Transport(),
+		Channel: fmt.Sprintf("w%d>r%d", w, r), Scope: g.key,
+		Rank: w, Step: step, Epoch: tr.epoch, Parent: tr.parent,
+		Bytes: wire,
+	})
 }
 
 // sendWithRetry implements the runtime's timeout-and-retry resiliency

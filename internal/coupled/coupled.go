@@ -106,24 +106,22 @@ type Config struct {
 	// contiguously; 0 derives it from the placement's process counts.
 	WritersPerReader int
 
-	// Mon, when non-nil, receives one virtual-time span per phase per
-	// step ("sim.compute", "sim.io", "analysis") plus the matching
-	// latency histograms, so a modeled run exports the same Chrome trace
-	// a real stream does. MonBase offsets the span timestamps and
-	// MonStep the step labels (RunSwitched uses both to line up the two
-	// epochs on one timeline); MonEpoch tags the spans' session epoch
-	// (0 means epoch 1).
+	// Mon, when non-nil, receives each step's phase durations
+	// ("sim.compute", "sim.io", "analysis") in its latency histograms,
+	// and Journal, when non-nil, the per-step causal event chain
+	// (sim.compute → sim.io → analysis, parent-linked) on a virtual
+	// timeline, so a modeled run exports the same Chrome trace a real
+	// stream does. MonBase offsets the event timestamps and MonStep the
+	// step labels (RunSwitched uses both to line up the two epochs on one
+	// timeline); MonEpoch tags the events' session epoch (0 means epoch
+	// 1). The model is a single-threaded discrete-event computation, so
+	// two runs of the same Config produce byte-identical journals — the
+	// invariant the replay checker tests.
 	Mon      *monitor.Monitor
 	MonBase  float64
 	MonStep  int
 	MonEpoch uint64
-
-	// Journal, when non-nil, additionally receives the per-step causal
-	// event chain (sim.compute → sim.io → analysis, parent-linked) on the
-	// same virtual timeline as the spans. The model is a single-threaded
-	// discrete-event computation, so two runs of the same Config produce
-	// byte-identical journals — the invariant the replay checker tests.
-	Journal *flight.Journal
+	Journal  *flight.Journal
 }
 
 // Phases is the Figure 7 breakdown, per I/O interval (averaged).
@@ -230,7 +228,6 @@ func Run(cfg Config) (Result, error) {
 		res.TotalTime = float64(cfg.Steps) * interval
 		res.SimSlowdown = interval / (simCompute + simMPI)
 		res.CPUHours = float64(res.NodesUsed) * res.TotalTime / 3600
-		recordStepSpans(cfg, interval, res.Phases)
 		recordStepEvents(cfg, interval, res.Phases)
 		return res, nil
 	}
@@ -253,7 +250,6 @@ func Run(cfg Config) (Result, error) {
 		res.TotalTime = float64(cfg.Steps)*interval + offline
 		res.SimSlowdown = interval / (simCompute + simMPI)
 		res.CPUHours = float64(res.NodesUsed) * res.TotalTime / 3600
-		recordStepSpans(cfg, interval, res.Phases)
 		recordStepEvents(cfg, interval, res.Phases)
 		return res, nil
 	}
@@ -312,57 +308,27 @@ func Run(cfg Config) (Result, error) {
 	}
 	res.TotalTime = float64(cfg.Steps)*interval + drain
 	res.CPUHours = float64(res.NodesUsed) * res.TotalTime / 3600
-	recordStepSpans(cfg, interval, res.Phases)
 	recordStepEvents(cfg, interval, res.Phases)
 	return res, nil
 }
 
-// recordStepSpans emits the run's per-step phase spans onto the config's
-// monitor, on virtual time: each step occupies one interval, with the
-// sim-visible I/O and the analytics stage laid out after the compute
-// phase. RecordSpan also folds each duration into the point's latency
-// histogram, so a modeled run reports p50/p95/p99 like a real one.
-func recordStepSpans(cfg Config, interval float64, ph Phases) {
-	if cfg.Mon == nil {
-		return
-	}
-	epoch := cfg.MonEpoch
-	if epoch == 0 {
-		epoch = 1
-	}
-	for s := 0; s < cfg.Steps; s++ {
-		step := int64(cfg.MonStep + s)
-		base := cfg.MonBase + float64(s)*interval
-		cfg.Mon.RecordSpan(monitor.Span{
-			Point: "sim.compute", Step: step, Epoch: epoch,
-			Start: base, Dur: ph.SimCompute,
-		})
-		if ph.SimVisIO > 0 {
-			cfg.Mon.RecordSpan(monitor.Span{
-				Point: "sim.io", Step: step, Epoch: epoch,
-				Start: base + ph.SimCompute, Dur: ph.SimVisIO,
-			})
-		}
-		if ph.Analysis > 0 {
-			cfg.Mon.RecordSpan(monitor.Span{
-				Point: "analysis", Step: step, Epoch: epoch,
-				Start: base + ph.SimCompute + ph.SimVisIO, Dur: ph.Analysis,
-			})
-		}
-	}
-}
-
-// recordStepEvents mirrors recordStepSpans into the flight journal: each
-// step's phases become a parent-linked causal chain — sim.compute, then
-// the sim-visible I/O (a send), then the analytics stage — laid out on
-// the same virtual timeline as the spans. Because the chain is purely
-// sequential, the step's critical path covers the whole envelope and its
-// edge durations sum exactly to the span-measured interval, which is the
-// invariant the critpath driver gates at 5%.
+// recordStepEvents lays the run's steps out on virtual time: each step
+// occupies one interval and its phases become a parent-linked causal
+// chain — sim.compute, then the sim-visible I/O (a send), then the
+// analytics stage. Every phase is journaled (Journal.Record) and its
+// duration folded into the monitor's histogram of the same point
+// (Monitor.Observe), so a modeled run reports p50/p95/p99 like a real
+// one. Because the chain is purely sequential, a step's critical path
+// covers the whole envelope and its edge durations sum exactly to the
+// interval.
 func recordStepEvents(cfg Config, interval float64, ph Phases) {
-	j := cfg.Journal
-	if j == nil {
+	j, mon := cfg.Journal, cfg.Mon
+	if j == nil && mon == nil {
 		return
+	}
+	record := func(ev flight.Event) flight.EventID {
+		mon.Observe(ev.Point, ev.Dur)
+		return j.Record(ev)
 	}
 	epoch := cfg.MonEpoch
 	if epoch == 0 {
@@ -371,14 +337,14 @@ func recordStepEvents(cfg Config, interval float64, ph Phases) {
 	for s := 0; s < cfg.Steps; s++ {
 		step := int64(cfg.MonStep + s)
 		base := cfg.MonBase + float64(s)*interval
-		parent := j.Record(flight.Event{
+		parent := record(flight.Event{
 			Kind: flight.KindCompute, Point: "sim.compute",
 			Rank: 0, Step: step, Epoch: epoch,
 			T: base, Dur: ph.SimCompute,
 		})
 		t := base + ph.SimCompute
 		if ph.SimVisIO > 0 {
-			parent = j.Record(flight.Event{
+			parent = record(flight.Event{
 				Kind: flight.KindSend, Point: "sim.io", Channel: "sim>ana",
 				Rank: 0, Step: step, Epoch: epoch, Parent: parent,
 				T: t, Dur: ph.SimVisIO,
@@ -386,7 +352,7 @@ func recordStepEvents(cfg Config, interval float64, ph Phases) {
 			t += ph.SimVisIO
 		}
 		if ph.Analysis > 0 {
-			j.Record(flight.Event{
+			record(flight.Event{
 				Kind: flight.KindCompute, Point: "analysis",
 				Rank: 1, Step: step, Epoch: epoch, Parent: parent,
 				T: t, Dur: ph.Analysis,

@@ -37,8 +37,8 @@ type SteerConfig struct {
 	Patience  int
 
 	// Mon, when non-nil, receives the per-epoch interference
-	// observations and, after the decision, the full run's phase spans
-	// (via RunSwitched or Run).
+	// observations and, after the decision, the full run's phase
+	// durations (via RunSwitched or Run).
 	Mon *monitor.Monitor
 
 	// Journal, when non-nil, receives the chosen execution's causal

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	. "flexio/internal/coupled"
+	"flexio/internal/flight"
 	"flexio/internal/machine"
 	"flexio/internal/monitor"
 	"flexio/internal/placement"
@@ -43,6 +44,7 @@ func TestSteeredSwitchFiresOnObservedInterference(t *testing.T) {
 
 	const steps = 10
 	mon := monitor.New("steer")
+	j := flight.NewJournal(0)
 	out, err := RunSteered(SteerConfig{
 		First:          Config{App: app, Place: helper, Steps: steps},
 		Second:         Config{App: app, Place: staging, Steps: steps},
@@ -51,6 +53,7 @@ func TestSteeredSwitchFiresOnObservedInterference(t *testing.T) {
 		Threshold:      1.02,
 		Patience:       2,
 		Mon:            mon,
+		Journal:        j,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,19 +91,20 @@ func TestSteeredSwitchFiresOnObservedInterference(t *testing.T) {
 		t.Fatalf("steered total %v != scripted total %v", out.TotalTime, scripted.TotalTime)
 	}
 
-	// The monitor saw both the steering observations and the run's spans.
+	// The monitor saw both the steering observations and the run's
+	// phases; the journal holds the run's events under both epochs.
 	rep := mon.Snapshot()
-	if rep.Timings["sim.interval"].Count == 0 {
-		t.Fatal("steering observations missing from monitor")
+	if rep.Timings["sim.interval"].Count == 0 || rep.Timings["sim.compute"].Count == 0 {
+		t.Fatal("steering observations or phase durations missing from monitor")
 	}
 	var epochs [3]int
-	for _, sp := range rep.Spans {
-		if sp.Epoch == 1 || sp.Epoch == 2 {
-			epochs[sp.Epoch]++
+	for _, ev := range j.Snapshot() {
+		if ev.Epoch == 1 || ev.Epoch == 2 {
+			epochs[ev.Epoch]++
 		}
 	}
 	if epochs[1] == 0 || epochs[2] == 0 {
-		t.Fatalf("spans do not cover both epochs: %v", epochs)
+		t.Fatalf("events do not cover both epochs: %v", epochs)
 	}
 }
 
@@ -135,9 +139,9 @@ func TestSteeredRunStaysPutWithoutInterference(t *testing.T) {
 	}
 }
 
-// TestSwitchedRunRecordsSeamedTimeline: RunSwitched with a monitor lays
-// both epochs' spans on one virtual timeline with the reconfig span as
-// the seam.
+// TestSwitchedRunRecordsSeamedTimeline: RunSwitched lays both epochs'
+// events on one virtual timeline with the reconfig mark as the seam, and
+// folds every phase plus the reconfig gap into the monitor's histograms.
 func TestSwitchedRunRecordsSeamedTimeline(t *testing.T) {
 	m := machine.Smoky(2)
 	app := gtsApp()
@@ -145,51 +149,58 @@ func TestSwitchedRunRecordsSeamedTimeline(t *testing.T) {
 
 	const steps, at = 6, 3
 	mon := monitor.New("switched")
+	j := flight.NewJournal(0)
 	out, err := RunSwitched(SwitchConfig{
 		First:      Config{App: app, Place: helper, Steps: steps},
 		Second:     Config{App: app, Place: staging, Steps: steps},
 		TotalSteps: steps,
 		SwitchAt:   at,
 		Mon:        mon,
+		Journal:    j,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := mon.Snapshot()
-	var reconfig *monitor.Span
+	evs := j.Snapshot()
+	var reconfig *flight.Event
 	firstEnd, secondStart := 0.0, math.Inf(1)
-	for i := range rep.Spans {
-		sp := rep.Spans[i]
+	for i := range evs {
+		ev := evs[i]
 		switch {
-		case sp.Point == "reconfig":
-			reconfig = &rep.Spans[i]
-		case sp.Epoch == 1:
-			if end := sp.Start + sp.Dur; end > firstEnd {
+		case ev.Point == "reconfig":
+			reconfig = &evs[i]
+		case ev.Epoch == 1:
+			if end := ev.T + ev.Dur; end > firstEnd {
 				firstEnd = end
 			}
-			if sp.Step >= at {
-				t.Fatalf("epoch-1 span for step %d past the switch: %+v", sp.Step, sp)
+			if ev.Step >= at {
+				t.Fatalf("epoch-1 event for step %d past the switch: %+v", ev.Step, ev)
 			}
-		case sp.Epoch == 2:
-			if sp.Start < secondStart {
-				secondStart = sp.Start
+		case ev.Epoch == 2:
+			if ev.T < secondStart {
+				secondStart = ev.T
 			}
-			if sp.Step < at {
-				t.Fatalf("epoch-2 span for pre-switch step %d: %+v", sp.Step, sp)
+			if ev.Step < at {
+				t.Fatalf("epoch-2 event for pre-switch step %d: %+v", ev.Step, ev)
 			}
 		}
 	}
 	if reconfig == nil {
-		t.Fatal("no reconfig span recorded")
+		t.Fatal("no reconfig event recorded")
 	}
-	if math.Abs(reconfig.Start-out.First.TotalTime) > 1e-9 || math.Abs(reconfig.Dur-out.ReconfigTime) > 1e-9 {
-		t.Fatalf("reconfig span %+v, want start %v dur %v", reconfig, out.First.TotalTime, out.ReconfigTime)
+	if math.Abs(reconfig.T-out.First.TotalTime) > 1e-9 || math.Abs(reconfig.Dur-out.ReconfigTime) > 1e-9 {
+		t.Fatalf("reconfig event %+v, want start %v dur %v", reconfig, out.First.TotalTime, out.ReconfigTime)
 	}
 	// The second epoch begins after the seam, and the first ends at it.
-	if firstEnd > reconfig.Start+1e-9 {
-		t.Fatalf("epoch-1 spans end %v after reconfig start %v", firstEnd, reconfig.Start)
+	if firstEnd > reconfig.T+1e-9 {
+		t.Fatalf("epoch-1 events end %v after reconfig start %v", firstEnd, reconfig.T)
 	}
-	if secondStart < reconfig.Start+reconfig.Dur-1e-9 {
-		t.Fatalf("epoch-2 spans start %v inside the reconfig gap ending %v", secondStart, reconfig.Start+reconfig.Dur)
+	if secondStart < reconfig.T+reconfig.Dur-1e-9 {
+		t.Fatalf("epoch-2 events start %v inside the reconfig gap ending %v", secondStart, reconfig.T+reconfig.Dur)
+	}
+	rep := mon.Snapshot()
+	if rep.Timings["sim.compute"].Count != steps || rep.Timings["reconfig"].Count != 1 ||
+		math.Abs(rep.Timings["reconfig"].Total-out.ReconfigTime) > 1e-9 {
+		t.Fatalf("monitor histograms %v, want %d sim.compute and the reconfig gap", rep.Timings, steps)
 	}
 }

@@ -19,17 +19,15 @@ type SwitchConfig struct {
 	TotalSteps    int
 	SwitchAt      int // steps executed under First (0 < SwitchAt < TotalSteps)
 
-	// Mon, when non-nil, receives both epochs' per-step phase spans on a
-	// single virtual timeline (epoch 1 / epoch 2) plus a "reconfig" span
-	// covering the switch gap — the trace shows the drain, re-handshake
-	// and re-dial as a visible seam between the two regimes.
-	Mon *monitor.Monitor
-
-	// Journal, when non-nil, receives both epochs' causal step events on
-	// the same virtual timeline plus a "reconfig" mark spanning the
-	// switch gap. RunSwitched is sequential in virtual time, so two runs
-	// from identical configs produce byte-identical journals — the basis
-	// of the replay divergence check.
+	// Mon, when non-nil, receives both epochs' per-step phase durations
+	// plus a "reconfig" sample for the switch gap. Journal, when non-nil,
+	// receives both epochs' causal step events on one virtual timeline
+	// (epoch 1 / epoch 2) plus a "reconfig" mark spanning the gap — the
+	// trace shows the drain, re-handshake and re-dial as a visible seam
+	// between the two regimes. RunSwitched is sequential in virtual time,
+	// so two runs from identical configs produce byte-identical journals
+	// — the basis of the replay divergence check.
+	Mon     *monitor.Monitor
 	Journal *flight.Journal
 }
 
@@ -126,7 +124,7 @@ func RunSwitched(cfg SwitchConfig) (SwitchResult, error) {
 	out.ReconfigTime = out.DrainTime + out.RehandshakeTime + out.RedialTime
 
 	// The second phase runs after the first plus the reconfiguration gap;
-	// its spans continue the same timeline and step numbering under the
+	// its events continue the same timeline and step numbering under the
 	// bumped epoch.
 	second := cfg.Second
 	second.Steps = cfg.TotalSteps - cfg.SwitchAt
@@ -137,10 +135,7 @@ func RunSwitched(cfg SwitchConfig) (SwitchResult, error) {
 	}
 	if cfg.Mon != nil {
 		second.Mon = cfg.Mon
-		cfg.Mon.RecordSpan(monitor.Span{
-			Point: "reconfig", Step: int64(cfg.SwitchAt), Epoch: 2,
-			Start: out.First.TotalTime, Dur: out.ReconfigTime,
-		})
+		cfg.Mon.Observe("reconfig", out.ReconfigTime)
 	}
 	if cfg.Journal != nil {
 		second.Journal = cfg.Journal

@@ -168,9 +168,6 @@ func (d *Mem) shard(key string) *memShard {
 	return d.shards[h.Sum32()%uint32(len(d.shards))]
 }
 
-// ShardCount reports the number of lock stripes.
-func (d *Mem) ShardCount() int { return len(d.shards) }
-
 // Register binds stream to contact and wakes pending WaitLookups. A
 // stream that is already bound has its contact atomically replaced.
 func (d *Mem) Register(stream, contact string) error {

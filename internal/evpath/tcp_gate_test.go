@@ -13,7 +13,8 @@ import (
 // The wire transport adds two touches to every data send even when
 // nobody is watching: the atomic stat counters and the (usually nil)
 // journal check in record(). These benchmarks isolate that disabled-path
-// cost so TestTCPStatsNopBudget can gate it like the monitor's nop span.
+// cost so TestTCPStatsNopBudget can gate it like the recorder's no-sink
+// stage (TestFlightNopOverheadBudget).
 
 var gateSink uint64
 

@@ -79,31 +79,46 @@ func (f *Figure) Fprint(w io.Writer) error {
 	return nil
 }
 
+// Options carries the run-time settings some drivers take;
+// cmd/flexbench fills it from its flags.
+type Options struct {
+	// MetricsAddr is where the trace drill serves live monitoring
+	// ("127.0.0.1:0" picks a free port, "" disables).
+	MetricsAddr string
+	// Perturb injects a model change into the replay drill's second run,
+	// which must then be detected as a divergence.
+	Perturb bool
+}
+
 // Driver is one registered experiment: a one-line description for
 // `flexbench -list` plus the function that regenerates its figure.
 type Driver struct {
 	Desc string
-	Run  func() (*Figure, error)
+	Run  func(Options) (*Figure, error)
+}
+
+// plain adapts a driver that takes no options.
+func plain(run func() (*Figure, error)) func(Options) (*Figure, error) {
+	return func(Options) (*Figure, error) { return run() }
 }
 
 // Registry maps experiment ids to drivers.
 var Registry = map[string]Driver{
-	"fig4":      {"RDMA vs TCP transport microbenchmark (paper Fig. 4)", func() (*Figure, error) { return Fig4() }},
-	"fig6a":     {"GTS coupled-run slowdown on Smoky (paper Fig. 6a)", func() (*Figure, error) { return Fig6("Smoky") }},
-	"fig6b":     {"GTS coupled-run slowdown on Titan (paper Fig. 6b)", func() (*Figure, error) { return Fig6("Titan") }},
-	"fig7":      {"GTS analytics placement sweep (paper Fig. 7)", Fig7},
-	"fig8":      {"S3D coupled-run slowdown (paper Fig. 8)", Fig8},
-	"fig9a":     {"S3D analytics placement sweep on Smoky (paper Fig. 9a)", func() (*Figure, error) { return Fig9("Smoky") }},
-	"fig9b":     {"S3D analytics placement sweep on Titan (paper Fig. 9b)", func() (*Figure, error) { return Fig9("Titan") }},
-	"s3dtune":   {"S3D helper-core thread tuning table", S3DTuning},
-	"claims":    {"headline paper claims checked against the model", Claims},
-	"reconfig":  {"mid-run reader regrouping drill with drain-time budgets", func() (*Figure, error) { return ReconfigBench("BENCH_reconfig.json") }},
-	"trace":     {"end-to-end traced run emitting trace/metrics JSON", func() (*Figure, error) { return TraceRun("trace.json", "metrics.json", metricsAddr) }},
-	"critpath":  {"flight-recorder critical-path analysis over a journaled run", func() (*Figure, error) { return CritpathRun("journal.json", "critpath.json", "BENCH_flight.json") }},
-	"replay":    {"deterministic replay divergence check", func() (*Figure, error) { return ReplayRun(replayPerturb) }},
-	"multiproc": {"multi-process deployment drill over TCP (directory server + flexnode daemons)", Multiproc},
-	"tenants":   {"multi-tenant soak: shared pool, per-tenant quotas/backpressure, mid-run grow+shrink", Tenants},
-	"fleetobs":  {"fleet observability drill: collector scrapes 4 daemons, stitches cross-process traces, SLO breach drives a resize", Fleetobs},
+	"fig4":      {"RDMA vs TCP transport microbenchmark (paper Fig. 4)", plain(Fig4)},
+	"fig6a":     {"GTS coupled-run slowdown on Smoky (paper Fig. 6a)", plain(func() (*Figure, error) { return Fig6("Smoky") })},
+	"fig6b":     {"GTS coupled-run slowdown on Titan (paper Fig. 6b)", plain(func() (*Figure, error) { return Fig6("Titan") })},
+	"fig7":      {"GTS analytics placement sweep (paper Fig. 7)", plain(Fig7)},
+	"fig8":      {"S3D coupled-run slowdown (paper Fig. 8)", plain(Fig8)},
+	"fig9a":     {"S3D analytics placement sweep on Smoky (paper Fig. 9a)", plain(func() (*Figure, error) { return Fig9("Smoky") })},
+	"fig9b":     {"S3D analytics placement sweep on Titan (paper Fig. 9b)", plain(func() (*Figure, error) { return Fig9("Titan") })},
+	"s3dtune":   {"S3D helper-core thread tuning table", plain(S3DTuning)},
+	"claims":    {"headline paper claims checked against the model", plain(Claims)},
+	"reconfig":  {"mid-run reader regrouping drill with drain-time budgets", plain(func() (*Figure, error) { return ReconfigBench("BENCH_reconfig.json") })},
+	"trace":     {"one-record-stream drill: traced live stream + coupled critical paths, emitting trace/metrics/journal/critpath JSON", func(o Options) (*Figure, error) { return TraceRun(".", o.MetricsAddr) }},
+	"replay":    {"deterministic replay divergence check", func(o Options) (*Figure, error) { return ReplayRun(o.Perturb) }},
+	"multiproc": {"multi-process deployment drill over TCP (directory server + flexnode daemons)", plain(Multiproc)},
+	"tenants":   {"multi-tenant soak: shared pool, per-tenant quotas/backpressure, mid-run grow+shrink", plain(Tenants)},
+	"fleetobs":  {"fleet observability drill: collector scrapes 4 daemons, stitches cross-process traces, SLO breach drives a resize", plain(Fleetobs)},
 }
 
 // IDs returns the registered experiment ids, sorted.
@@ -117,9 +132,9 @@ func IDs() []string {
 }
 
 // RunAll executes every experiment and prints each figure.
-func RunAll(w io.Writer) error {
+func RunAll(w io.Writer, opts Options) error {
 	for _, id := range IDs() {
-		fig, err := Registry[id].Run()
+		fig, err := Registry[id].Run(opts)
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", id, err)
 		}

@@ -183,7 +183,7 @@ func TestFprintRenders(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"claims", "critpath", "fig4", "fig6a", "fig6b", "fig7", "fig8", "fig9a", "fig9b", "fleetobs", "multiproc", "reconfig", "replay", "s3dtune", "tenants", "trace"}
+	want := []string{"claims", "fig4", "fig6a", "fig6b", "fig7", "fig8", "fig9a", "fig9b", "fleetobs", "multiproc", "reconfig", "replay", "s3dtune", "tenants", "trace"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("ids = %v", got)

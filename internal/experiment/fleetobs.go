@@ -21,13 +21,14 @@ import (
 // The fleet observability drill: a real directory server, four flexnode
 // daemons (two writer-side, two reader-side), two tenants streaming over
 // TCP between them, and a fleet collector discovering the daemons
-// through their leased obs! registrations and scraping their monitor
-// endpoints over real HTTP. The drill asserts the observability plane's
-// end-to-end claims exactly:
+// through their leased obs! registrations and scraping their /report and
+// /journal endpoints over real HTTP. The drill asserts the observability
+// plane's end-to-end claims exactly:
 //
 //   - every step each tenant wrote appears exactly once in the stitched
 //     fleet view, and the count matches the writer-side flight journals
-//     (no span double-counted or lost across sweeps — cursor-windowed);
+//     (no event double-counted or lost across sweeps — windowed by each
+//     journal's Seen cursor);
 //   - the stitched critical path of a step crosses the process boundary
 //     through a send.tcp edge (writer daemon -> reader daemon, joined
 //     only by the wire-stable channel string);
@@ -273,7 +274,7 @@ waitBreach:
 		}
 	}
 
-	// One final synchronous sweep so the snapshot covers the last spans,
+	// One final synchronous sweep so the snapshot covers the last events,
 	// then the assertions — all against live scrapes of the still-running
 	// daemons.
 	if err := col.Sweep(); err != nil {
@@ -322,7 +323,7 @@ waitBreach:
 		fig.Series = append(fig.Series, series)
 	}
 
-	// (2) No span gaps or collector-side drops on any daemon.
+	// (2) No event gaps or collector-side drops on any daemon.
 	if len(snap.Daemons) != len(names) {
 		return nil, fmt.Errorf("collector sees %d daemons, want %d: %+v", len(snap.Daemons), len(names), snap.Daemons)
 	}
@@ -405,7 +406,7 @@ waitBreach:
 		fmt.Sprintf("%d daemons discovered via leased obs! directory entries over the wire protocol", len(names)),
 		fmt.Sprintf("lag tenant burned %.1fx its %v step objective (%d/%d violations) -> breach -> fabric resize 1->2 readers",
 			breach.BurnRate, lagTarget, breach.Violations, breach.Steps),
-		fmt.Sprintf("%d span gaps across %d daemons over %d sweeps (cursor-windowed scrapes)", 0, len(names), snap.Sweeps),
+		fmt.Sprintf("%d event gaps across %d daemons over %d sweeps (journal-cursor-windowed scrapes)", 0, len(names), snap.Sweeps),
 	)
 	return fig, nil
 }

@@ -1,36 +1,23 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"flexio/internal/coupled"
 	"flexio/internal/flight"
 	"flexio/internal/machine"
-	"flexio/internal/monitor"
 	"flexio/internal/placement"
 )
 
-// Flight-recorder experiments: `critpath` runs the switched coupled
-// scenario with the causal journal attached and extracts the per-step
-// critical path (`make critpath`); `replay` re-runs the same scenario
+// Flight-recorder experiments: the trace drill journals the switched
+// coupled scenario and extracts its per-step critical path
+// (critpathScenario, `make trace`); `replay` re-runs the same scenario
 // from the same configuration and proves the event streams are
 // byte-identical — or, with -perturb, that an injected model change is
 // caught as a divergence (`make replay`).
-
-// replayPerturb injects a divergence into the replay experiment's second
-// run; cmd/flexbench wires its -perturb flag here.
-var replayPerturb bool
-
-// SetReplayPerturb toggles the injected divergence for the replay
-// experiment (flexbench -perturb).
-func SetReplayPerturb(v bool) { replayPerturb = v }
 
 // The scenario both experiments journal: the GTS helper-core -> staging
 // switched run on Smoky (the Section II.G shape), small enough to read
@@ -40,11 +27,11 @@ const (
 	flightSwitchAt = 4
 )
 
-// flightScenario runs the switched scenario with the given observers
-// attached. perturb scales the per-process output volume (0 = faithful
-// re-run; any non-zero value models a code or input change that must
-// show up as a replay divergence).
-func flightScenario(mon *monitor.Monitor, j *flight.Journal, perturb float64) (coupled.SwitchResult, error) {
+// flightScenario runs the switched scenario into journal j. perturb
+// scales the per-process output volume (0 = faithful re-run; any
+// non-zero value models a code or input change that must show up as a
+// replay divergence).
+func flightScenario(j *flight.Journal, perturb float64) (coupled.SwitchResult, error) {
 	m := machine.Smoky(2)
 	app := gtsApp()
 	app.OutputBytesPerProc *= 1 + perturb
@@ -64,7 +51,6 @@ func flightScenario(mon *monitor.Monitor, j *flight.Journal, perturb float64) (c
 		Second:     coupled.Config{App: app, Place: staging, Steps: flightSteps},
 		TotalSteps: flightSteps,
 		SwitchAt:   flightSwitchAt,
-		Mon:        mon,
 		Journal:    j,
 	})
 }
@@ -83,7 +69,7 @@ func ReplayRun(perturb bool) (*Figure, error) {
 	}
 
 	a := flight.NewJournal(0)
-	if _, err := flightScenario(nil, a, 0); err != nil {
+	if _, err := flightScenario(a, 0); err != nil {
 		return nil, err
 	}
 	eps := 0.0
@@ -91,7 +77,7 @@ func ReplayRun(perturb bool) (*Figure, error) {
 		eps = 1e-4
 	}
 	b := flight.NewJournal(0)
-	if _, err := flightScenario(nil, b, eps); err != nil {
+	if _, err := flightScenario(b, eps); err != nil {
 		return nil, err
 	}
 
@@ -117,64 +103,53 @@ func ReplayRun(perturb bool) (*Figure, error) {
 	}
 }
 
-// CritpathRun journals the scenario alongside its monitoring spans,
-// extracts the per-step critical path, and cross-checks it against the
-// independently measured span envelope of every step: the path's edges
-// must sum to within 5% of the step's span latency. Artifacts (any may
-// be "" to skip): the raw journal, the analysis JSON, and the flight
-// micro-benchmark record (budget preserved, measurements refreshed).
-func CritpathRun(journalPath, critpathPath, benchPath string) (*Figure, error) {
-	fig := &Figure{
-		ID:     "CRITPATH",
-		Title:  "Per-step critical-path attribution of the switched coupled run",
-		XLabel: "pipeline point",
-		YLabel: "latency share",
-	}
-
-	cm := monitor.New("coupled")
+// critpathScenario journals the switched scenario, extracts each step's
+// critical path and appends the critical-path shares (one series) and
+// the per-step report to fig. Each step's path edges must sum to the
+// step's event envelope within 5% — an invariant Analyze maintains over
+// the one record stream it reads (it inserts explicit wait edges and
+// clamps overlaps), not an independent measurement; the check guards
+// that invariant.
+func critpathScenario(fig *Figure) (*flight.Journal, flight.Analysis, error) {
 	j := flight.NewJournal(0)
-	if _, err := flightScenario(cm, j, 0); err != nil {
-		return nil, err
+	if _, err := flightScenario(j, 0); err != nil {
+		return nil, flight.Analysis{}, err
 	}
-	an := flight.Analyze(j.Snapshot())
+	evs := j.Snapshot()
+	an := flight.Analyze(evs)
 	if len(an.Steps) == 0 {
-		return nil, fmt.Errorf("critpath: no step events journaled")
+		return nil, an, fmt.Errorf("critpath: no step events journaled")
 	}
 
-	// Independent cross-check: per step, the sum of the extracted path's
-	// edge durations vs the envelope of the monitor spans for that step.
 	type envelope struct{ lo, hi float64 }
 	envs := map[int64]envelope{}
-	for _, sp := range cm.Snapshot().Spans {
-		e, ok := envs[sp.Step]
+	for _, ev := range evs {
+		e, ok := envs[ev.Step]
 		if !ok {
-			e = envelope{lo: sp.Start, hi: sp.Start + sp.Dur}
+			e = envelope{lo: ev.T, hi: ev.T + ev.Dur}
 		} else {
-			e.lo = math.Min(e.lo, sp.Start)
-			e.hi = math.Max(e.hi, sp.Start+sp.Dur)
+			e.lo = math.Min(e.lo, ev.T)
+			e.hi = math.Max(e.hi, ev.T+ev.Dur)
 		}
-		envs[sp.Step] = e
+		envs[ev.Step] = e
 	}
 	var worst float64
 	for i := range an.Steps {
 		st := &an.Steps[i]
-		e, ok := envs[st.Step]
-		if !ok {
-			return nil, fmt.Errorf("critpath: step %d has events but no spans", st.Step)
-		}
+		e := envs[st.Step]
 		span := e.hi - e.lo
 		if span <= 0 {
-			return nil, fmt.Errorf("critpath: step %d span envelope is empty", st.Step)
+			return nil, an, fmt.Errorf("critpath: step %d event envelope is empty", st.Step)
 		}
 		skew := math.Abs(st.EdgeSum()-span) / span
 		worst = math.Max(worst, skew)
 		if skew > 0.05 {
-			return nil, fmt.Errorf("critpath: step %d path edges sum to %.6fs but spans measure %.6fs (%.1f%% skew, budget 5%%)",
+			return nil, an, fmt.Errorf("critpath: step %d path edges sum to %.6fs but its events span %.6fs (%.1f%% skew, budget 5%%)",
 				st.Step, st.EdgeSum(), span, 100*skew)
 		}
 	}
 	fig.Notes = append(fig.Notes, fmt.Sprintf(
-		"edge-sum vs span-envelope cross-check: worst skew %.3f%% over %d steps (budget 5%%)",
+		"critical path vs event envelope (Analyze's own invariant): worst skew %.3f%% over %d steps (budget 5%%)",
 		100*worst, len(an.Steps)))
 	fig.Notes = append(fig.Notes, fmt.Sprintf(
 		"dominant point: %s (%.1f%% of %.6fs total step latency)",
@@ -198,102 +173,15 @@ func CritpathRun(journalPath, critpathPath, benchPath string) (*Figure, error) {
 	}
 	fig.Series = append(fig.Series, s)
 
-	// The full per-step breakdown (flight.WriteReport's format), so `make
-	// critpath` shows each step's dominating edge chain, not just the
+	// The full per-step breakdown (flight.WriteReport's format), so the
+	// drill shows each step's dominating edge chain, not just the
 	// aggregate shares.
 	var report strings.Builder
 	if err := flight.WriteReport(&report, an); err != nil {
-		return nil, err
+		return nil, an, err
 	}
 	for _, line := range strings.Split(strings.TrimRight(report.String(), "\n"), "\n") {
 		fig.Notes = append(fig.Notes, line)
 	}
-
-	if journalPath != "" {
-		if err := writeArtifact(journalPath, func(w io.Writer) error { return flight.WriteJSON(w, j) }); err != nil {
-			return nil, err
-		}
-		fig.Notes = append(fig.Notes, "journal written to "+journalPath)
-	}
-	if critpathPath != "" {
-		if err := writeArtifact(critpathPath, func(w io.Writer) error { return flight.WriteAnalysisJSON(w, an) }); err != nil {
-			return nil, err
-		}
-		fig.Notes = append(fig.Notes, "analysis written to "+critpathPath)
-	}
-	if benchPath != "" {
-		if err := rewriteFlightBench(benchPath); err != nil {
-			return nil, err
-		}
-		fig.Notes = append(fig.Notes, "recorder micro-benchmarks refreshed in "+benchPath)
-	}
-	return fig, nil
-}
-
-// flightBenchRow is one refreshed measurement in BENCH_flight.json.
-type flightBenchRow struct {
-	Name    string  `json:"name"`
-	NsPerOp float64 `json:"ns_per_op"`
-}
-
-// rewriteFlightBench refreshes the measurement rows of BENCH_flight.json
-// while preserving the committed regression budget (and its note) — the
-// budget is CI policy, the measurements are machine-local.
-func rewriteFlightBench(path string) error {
-	doc := struct {
-		BudgetNs float64          `json:"nop_journal_budget_ns"`
-		Note     string           `json:"note"`
-		Results  []flightBenchRow `json:"results"`
-	}{BudgetNs: 15}
-	if blob, err := os.ReadFile(path); err == nil {
-		json.Unmarshal(blob, &doc) //nolint:errcheck // best effort: keep committed budget/note
-	}
-	base, nop, rec := measureJournalNs()
-	overhead := math.Max(0, nop-base)
-	doc.Results = []flightBenchRow{
-		{Name: "baseline_work", NsPerOp: base},
-		{Name: "nil_journal", NsPerOp: nop},
-		{Name: "nil_journal_overhead", NsPerOp: overhead},
-		{Name: "recording_journal", NsPerOp: rec},
-	}
-	return writeArtifact(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
-	})
-}
-
-// benchSink keeps the measurement loops from being optimized away.
-var benchSink uint64
-
-// measureJournalNs times the same loop bare, with a nil journal, and
-// with a recording journal (ns per iteration).
-func measureJournalNs() (base, nop, rec float64) {
-	const iters = 1 << 21
-	work := func(i int) uint64 { return uint64(i) * 2654435761 }
-
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		benchSink ^= work(i)
-	}
-	base = float64(time.Since(t0).Nanoseconds()) / iters
-
-	var nilJ *flight.Journal
-	t0 = time.Now()
-	for i := 0; i < iters; i++ {
-		id := nilJ.Begin(flight.Event{})
-		benchSink ^= work(i)
-		nilJ.End(id)
-	}
-	nop = float64(time.Since(t0).Nanoseconds()) / iters
-
-	jr := flight.NewJournal(1 << 12)
-	t0 = time.Now()
-	for i := 0; i < iters; i++ {
-		id := jr.Begin(flight.Event{Kind: flight.KindCompute, Point: "bench"})
-		benchSink ^= work(i)
-		jr.End(id)
-	}
-	rec = float64(time.Since(t0).Nanoseconds()) / iters
-	return base, nop, rec
+	return j, an, nil
 }

@@ -30,8 +30,8 @@ func TestReplayDetectsInjectedDivergence(t *testing.T) {
 }
 
 func TestCritpathEdgeSumWithinBudget(t *testing.T) {
-	fig, err := CritpathRun("", "", "") // no artifacts in tests
-	if err != nil {
+	fig := &Figure{}
+	if _, _, err := critpathScenario(fig); err != nil {
 		t.Fatal(err)
 	}
 	if len(fig.Series) != 1 {
@@ -45,7 +45,7 @@ func TestCritpathEdgeSumWithinBudget(t *testing.T) {
 		t.Fatalf("shares sum to %f, want ~1", sum)
 	}
 	joined := strings.Join(fig.Notes, "\n")
-	for _, want := range []string{"cross-check", "dominant point"} {
+	for _, want := range []string{"worst skew", "dominant point"} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("notes lack %q:\n%s", want, joined)
 		}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -21,33 +22,32 @@ import (
 	"flexio/internal/rdma"
 )
 
-// metricsAddr is the live-export address for the trace experiment
-// ("host:port" or "" to disable). cmd/flexbench wires its -metrics flag
-// here.
-var metricsAddr string
-
-// SetMetricsAddr configures the address the trace experiment's live
-// monitoring server binds ("127.0.0.1:0" picks a free port, "" disables).
-func SetMetricsAddr(addr string) { metricsAddr = addr }
-
-// TraceRun is the observability walkthrough (`make trace`): it drives a
-// real 2x2 core stream through a mid-run reconfiguration with writer- and
-// reader-side monitors attached, runs the observation-steered coupled
-// model on the same timeline source, and exports the merged result as
+// TraceRun is the observability drill (`make trace`). Everything it
+// shows comes from one record stream, the flight journal, plus the
+// monitors' aggregates:
 //
-//	tracePath    Chrome trace-event JSON (about:tracing / Perfetto)
-//	metricsPath  the machine-readable report with per-point histograms
+//   - a real 2x2 core stream driven through a mid-run reconfiguration
+//     with writer- and reader-side monitors and one journal attached;
+//     when serveAddr is non-empty a monitor.Server exposes them live and
+//     the driver self-checks /metrics, /journal, /trace and /critpath
+//     mid-reconfiguration — the "watch a running experiment re-place
+//     itself" demo from Section II.G;
+//   - the observation-steered coupled model, whose monitor drives the
+//     helper-core -> staging switch;
+//   - the switched coupled scenario journaled and cut into per-step
+//     critical paths (critpathScenario).
 //
-// When serveAddr is non-empty a monitor.Server additionally exposes the
-// merged live report over HTTP for the duration of the run, and the
-// driver self-checks /metrics mid-reconfiguration — the "watch a running
-// experiment re-place itself" demo from Section II.G.
-func TraceRun(tracePath, metricsPath, serveAddr string) (*Figure, error) {
+// With dir non-empty it writes there trace.json (Chrome trace of both
+// journals, one process lane each; load in ui.perfetto.dev),
+// metrics.json (the merged report with per-point histograms),
+// journal.json and critpath.json (the coupled scenario's journal and its
+// analysis).
+func TraceRun(dir, serveAddr string) (*Figure, error) {
 	fig := &Figure{
 		ID:     "TRACE",
-		Title:  "End-to-end step tracing and live metrics export",
-		XLabel: "artifact",
-		YLabel: "spans",
+		Title:  "One record stream: live step tracing, metrics and per-step critical paths",
+		XLabel: "pipeline point",
+		YLabel: "latency share",
 	}
 
 	wm := monitor.New("writers")
@@ -68,7 +68,7 @@ func TraceRun(tracePath, metricsPath, serveAddr string) (*Figure, error) {
 			return nil, fmt.Errorf("trace: live server: %w", err)
 		}
 		defer srv.Close() //nolint:errcheck
-		fig.Notes = append(fig.Notes, "live metrics at http://"+addr+"/metrics (and /trace, /spans, /report, /journal, /critpath)")
+		fig.Notes = append(fig.Notes, "live metrics at http://"+addr+"/metrics (and /report, /journal, /trace, /critpath)")
 		liveCheck = "http://" + addr
 	}
 
@@ -78,45 +78,47 @@ func TraceRun(tracePath, metricsPath, serveAddr string) (*Figure, error) {
 	if err := traceSteered(cm, fig); err != nil {
 		return nil, err
 	}
+	cj, an, err := critpathScenario(fig)
+	if err != nil {
+		return nil, err
+	}
+	fig.Notes = append(fig.Notes, fmt.Sprintf(
+		"journals: live stream %d events, coupled scenario %d events", fj.Seen(), cj.Seen()))
 
-	rep := merged()
-	if tracePath != "" {
-		if err := writeArtifact(tracePath, rep.WriteChromeTrace); err != nil {
+	if dir == "" {
+		return fig, nil
+	}
+	artifacts := []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"trace.json", func(w io.Writer) error {
+			return flight.WriteChromeTrace(w, flight.MergeDumps(flight.Dump(fj), flight.Dump(cj)))
+		}},
+		{"metrics.json", merged().WriteJSON},
+		{"journal.json", func(w io.Writer) error { return flight.WriteJSON(w, cj) }},
+		{"critpath.json", func(w io.Writer) error { return flight.WriteAnalysisJSON(w, an) }},
+	}
+	for _, a := range artifacts {
+		path := filepath.Join(dir, a.name)
+		if err := writeArtifact(path, a.write); err != nil {
 			return nil, err
 		}
-		fig.Notes = append(fig.Notes, "Chrome trace written to "+tracePath)
+		fig.Notes = append(fig.Notes, "wrote "+path)
 	}
-	if metricsPath != "" {
-		if err := writeArtifact(metricsPath, rep.WriteJSON); err != nil {
-			return nil, err
-		}
-		fig.Notes = append(fig.Notes, "metrics report written to "+metricsPath)
-	}
-
-	perOrigin := map[string]float64{}
-	for _, sp := range rep.Spans {
-		perOrigin[sp.Origin]++
-	}
-	s := Series{Label: "spans per origin"}
-	for i, o := range []string{"writers", "readers", "coupled"} {
-		s.X = append(s.X, float64(i))
-		s.Y = append(s.Y, perOrigin[o])
-		fig.Notes = append(fig.Notes, fmt.Sprintf("x=%d: origin %q, %d spans", i, o, int(perOrigin[o])))
-	}
-	fig.Series = append(fig.Series, s)
 	return fig, nil
 }
 
 // traceStream runs the instrumented 2-writer / 2-reader stream: three
 // steps over shm, a Reconfigure that moves both readers to node 1 (rdma
 // transport thereafter), three more steps. A pass-through reader plug-in
-// keeps dc.plugin spans on the analytics side of the trace; the flight
+// keeps dc.plugin events on the analytics side of the trace; the flight
 // journal rides along at every layer (core step chain, shm queue
-// crossings, rdma verbs). If liveCheck is non-empty, /metrics and
-// /journal are fetched mid-run and must already serve. Afterwards the
-// transport-resource gauges (registration cache, message-queue
-// high-water, shm pools/ring waits) are published into the writer
-// monitor so they surface on /metrics.
+// crossings, rdma verbs). If liveCheck is non-empty, /metrics, /journal,
+// /trace and /critpath are fetched mid-run and must already serve.
+// Afterwards the transport-resource gauges (registration cache,
+// message-queue high-water, shm pools/ring waits) are published into the
+// writer monitor so they surface on /metrics.
 func traceStream(wm, rm *monitor.Monitor, fj *flight.Journal, liveCheck string, fig *Figure) error {
 	const nw, nr, pre, post = 2, 2, 3, 3
 	net := evpath.NewNet(rdma.NewFabric(machine.Titan(8).Net))
@@ -247,6 +249,13 @@ func traceStream(wm, rm *monitor.Monitor, fj *flight.Journal, liveCheck string, 
 		if !strings.Contains(body, `"hash"`) || !strings.Contains(body, "writer.flush") {
 			return fmt.Errorf("trace: mid-run /journal lacks events: %.80q", body)
 		}
+		body, err = httpGet(liveCheck + "/trace")
+		if err != nil {
+			return fmt.Errorf("trace: mid-run /trace: %w", err)
+		}
+		if !strings.Contains(body, "traceEvents") || !strings.Contains(body, "reader.assemble") {
+			return fmt.Errorf("trace: mid-run /trace lacks events: %.80q", body)
+		}
 		body, err = httpGet(liveCheck + "/critpath")
 		if err != nil {
 			return fmt.Errorf("trace: mid-run /critpath: %w", err)
@@ -254,7 +263,7 @@ func traceStream(wm, rm *monitor.Monitor, fj *flight.Journal, liveCheck string, 
 		if !strings.Contains(body, "dominant") {
 			return fmt.Errorf("trace: mid-run /critpath lacks analysis: %.80q", body)
 		}
-		fig.Notes = append(fig.Notes, "mid-run /journal + /critpath self-check: ok (flight recorder served)")
+		fig.Notes = append(fig.Notes, "mid-run /journal + /trace + /critpath self-check: ok (flight recorder served)")
 	}
 
 	if err := rg.Reconfigure(core.ReconfigSpec{

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"flexio/internal/flight"
 )
 
 // chromeFile mirrors the trace-event JSON for decoding in tests.
@@ -24,7 +26,7 @@ func TestTraceRunArtifacts(t *testing.T) {
 	tracePath := filepath.Join(dir, "trace.json")
 	metricsPath := filepath.Join(dir, "metrics.json")
 
-	fig, err := TraceRun(tracePath, metricsPath, "127.0.0.1:0")
+	fig, err := TraceRun(dir, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +40,8 @@ func TestTraceRunArtifacts(t *testing.T) {
 		t.Fatalf("steered run did not report an observed switch:\n%s", notes)
 	}
 
-	// trace.json: valid Chrome trace with one timestep's stages correlated
-	// by args.step across writer and reader process lanes.
+	// trace.json: valid Chrome trace of both journals, one process lane
+	// each, with one timestep's stages correlated by args.step.
 	blob, err := os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
@@ -54,8 +56,8 @@ func TestTraceRunArtifacts(t *testing.T) {
 			pidName[ev.Pid] = ev.Args["name"].(string)
 		}
 	}
-	// Stages of probe step 1, by origin lane.
-	stages := map[string]map[string]bool{} // point -> set of origins
+	// Stages of probe step 1, by journal lane.
+	stages := map[string]map[string]bool{} // point -> set of lanes
 	for _, ev := range tr.TraceEvents {
 		if ev.Ph != "X" {
 			continue
@@ -68,21 +70,22 @@ func TestTraceRunArtifacts(t *testing.T) {
 		}
 		stages[ev.Name][pidName[ev.Pid]] = true
 	}
-	for point, origin := range map[string]string{
-		"writer.flush":    "writers",
-		"writer.pack":     "writers",
-		"send.shm":        "writers",
-		"reader.assemble": "readers",
-		"dc.plugin":       "readers",
-		"sim.compute":     "coupled",
+	for point, lane := range map[string]string{
+		"writer.flush":    "journal 0",
+		"writer.pack":     "journal 0",
+		"send.shm":        "journal 0",
+		"reader.assemble": "journal 0",
+		"dc.plugin":       "journal 0",
+		"sim.compute":     "journal 1",
+		"analysis":        "journal 1",
 	} {
-		if !stages[point][origin] {
-			t.Errorf("step 1 missing %q in lane %q (have %v)", point, origin, stages[point])
+		if !stages[point][lane] {
+			t.Errorf("step 1 missing %q in lane %q (have %v)", point, lane, stages[point])
 		}
 	}
 
 	// metrics.json: machine-readable report with quantiles for the flush
-	// timing point.
+	// stage, fed from the journal stages as they end.
 	blob, err = os.ReadFile(metricsPath)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +104,7 @@ func TestTraceRunArtifacts(t *testing.T) {
 	if rep.Name != "flexio" {
 		t.Fatalf("merged report name %q", rep.Name)
 	}
-	fl := rep.Timings["flush"]
+	fl := rep.Timings["writer.flush"]
 	if fl.Count == 0 || fl.P95 <= 0 {
 		t.Fatalf("flush timing not exported: %+v", fl)
 	}
@@ -136,7 +139,25 @@ func TestTraceRunArtifacts(t *testing.T) {
 	}
 
 	// The live self-checks must cover the flight endpoints too.
-	if !strings.Contains(notes, "/journal + /critpath self-check: ok") {
+	if !strings.Contains(notes, "/journal + /trace + /critpath self-check: ok") {
 		t.Fatalf("no flight-endpoint self-check in notes:\n%s", notes)
+	}
+
+	// journal.json and critpath.json describe the coupled scenario: the
+	// analysis covers every journaled step.
+	var dump flight.JournalDump
+	var an flight.Analysis
+	for name, out := range map[string]any{"journal.json": &dump, "critpath.json": &an} {
+		blob, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(blob, out); err != nil {
+			t.Fatalf("%s does not parse: %v", name, err)
+		}
+	}
+	if dump.Seen == 0 || len(an.Steps) != flightSteps || an.Dominant == "" {
+		t.Fatalf("journal.json seen %d, critpath.json %d steps dominant %q; want %d steps",
+			dump.Seen, len(an.Steps), an.Dominant, flightSteps)
 	}
 }

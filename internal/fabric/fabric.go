@@ -83,10 +83,6 @@ type Grant struct {
 // Resize).
 func (g *Grant) NAna() int { return len(g.Placement.AnaCore) }
 
-// CommCost reports the modeled communication cost of the grant's current
-// binding.
-func (g *Grant) CommCost() float64 { return g.Placement.CommCost(false) }
-
 // Fabric is the shared-pool admission service.
 type Fabric struct {
 	mu     sync.Mutex

@@ -2,11 +2,11 @@ package flight
 
 import "testing"
 
-// The recorder-off fast path: a nil *Journal must cost ~nothing so data
-// paths can stay instrumented in production builds.
-// BenchmarkJournalNop vs. BenchmarkJournalBaseline is the comparison
-// `make ci` gates on (nop_gate_test.go enforces the budget recorded in
-// BENCH_flight.json).
+// The recorder-off fast path: a stage with no journal and no observer
+// must cost ~nothing so data paths can stay instrumented in production
+// builds. BenchmarkJournalNop vs. BenchmarkJournalBaseline is the
+// comparison `make ci` gates on (nop_gate_test.go enforces the budget
+// recorded in BENCH_flight.json).
 
 var sinkU uint64
 
@@ -22,13 +22,20 @@ func BenchmarkJournalBaseline(b *testing.B) {
 	}
 }
 
+// BenchmarkJournalNop is the exact call a core data-path stage makes with
+// neither a journal nor a monitor attached (writer.pack's shape: scope,
+// rank, step, epoch and parent filled in).
 func BenchmarkJournalNop(b *testing.B) {
 	var j *Journal // disabled recording
+	var obs Observer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		id := j.Record(Event{Kind: KindCompute, Point: "writer.pack", Step: int64(i)})
+		st := j.Begin(obs, Event{
+			Kind: KindCompute, Point: "writer.pack", Scope: "acme/gts",
+			Rank: i & 3, Step: int64(i), Epoch: 1, Parent: EventID(i),
+		})
 		sinkU = benchWork(i)
-		j.End(id)
+		st.End()
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 // walking parents backward, covers the largest span of the step. Gaps
 // between a parent's finish and a child's start become explicit "wait"
 // edges, so the sum of edge durations always equals the path envelope
-// (finish − start) exactly; against the monitor's measured step span the
-// envelope agrees to within the recording skew (≡ 0 in virtual time),
-// which is what `make critpath` gates at 5%.
+// (finish − start) exactly; against the step's event envelope it agrees
+// to within the recording skew (≡ 0 in virtual time), which is what
+// `make trace` gates at 5%.
 
 // Edge is one hop of a step's critical path.
 type Edge struct {
@@ -235,8 +235,8 @@ func stepPath(step int64, evs []Event) *StepPath {
 }
 
 // EdgeSum returns the sum of a step path's edge durations; by
-// construction it equals Latency (the 5% acceptance check in the
-// critpath driver verifies this against the monitor's measured span).
+// construction it equals Latency (the trace drill checks it against
+// each step's event envelope).
 func (sp *StepPath) EdgeSum() float64 {
 	var sum float64
 	for _, e := range sp.Edges {

@@ -153,21 +153,16 @@ func TestAnalyzeEmptyAndExports(t *testing.T) {
 func TestChromeTraceHasFlowArrows(t *testing.T) {
 	j := NewJournal(32)
 	pipelineStep(j, 0, 0)
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, j); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("trace is not JSON: %v", err)
-	}
+	doc := chromeRows(t, j.Snapshot())
 	var slices, starts, finishes int
-	for _, ev := range doc.TraceEvents {
+	for _, ev := range doc {
 		switch ev["ph"] {
 		case "X":
 			slices++
+			args := ev["args"].(map[string]any)
+			if args["step"].(float64) != 0 || ev["dur"].(float64) <= 0 {
+				t.Fatalf("slice lost its step or extent: %+v", ev)
+			}
 		case "s":
 			starts++
 		case "f":
@@ -180,6 +175,45 @@ func TestChromeTraceHasFlowArrows(t *testing.T) {
 	if starts == 0 || starts != finishes {
 		t.Fatalf("flow arrows s=%d f=%d, want matched nonzero pairs", starts, finishes)
 	}
+
+	// Merged dumps render one process per lane: the writer daemon's and
+	// the reader daemon's events never share a pid, and ranks stay small
+	// thread ids inside their lane.
+	wj, rj := NewJournal(8), NewJournal(8)
+	wj.Record(Event{Kind: KindCompute, Point: "writer.pack", Step: 3, Epoch: 2, T: 1, Dur: 0.5})
+	rj.Record(Event{Kind: KindCompute, Point: "reader.assemble", Rank: 1, Step: 3, Epoch: 2, T: 1.5, Dur: 0.5})
+	pids := map[string]float64{}
+	metas := 0
+	for _, ev := range chromeRows(t, MergeDumps(Dump(wj), Dump(rj))) {
+		switch ev["ph"] {
+		case "M":
+			metas++
+		case "X":
+			pids[ev["name"].(string)] = ev["pid"].(float64)
+			if tid := ev["tid"].(float64); tid > 1 {
+				t.Fatalf("rank lane leaked into tid %v", tid)
+			}
+		}
+	}
+	if metas != 2 || pids["writer.pack"] == pids["reader.assemble"] {
+		t.Fatalf("process lanes = %d metas, pids %v; want one lane per dump", metas, pids)
+	}
+}
+
+// chromeRows renders events through WriteChromeTrace and decodes the rows.
+func chromeRows(t *testing.T, evs []Event) []map[string]any {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, evs); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not JSON: %v", err)
+	}
+	return doc.TraceEvents
 }
 
 func TestJournalDumpShape(t *testing.T) {

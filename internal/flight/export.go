@@ -9,9 +9,9 @@ import (
 
 // Export surfaces: the journal as JSON (the /journal endpoint and
 // journal.json artifact), as Chrome trace events with flow arrows
-// linking causal parents across ranks (load in ui.perfetto.dev), and the
-// critical-path analysis as JSON (/critpath, critpath.json) or a
-// human-readable report (make critpath).
+// linking causal parents across ranks (/trace and trace.json; load in
+// ui.perfetto.dev), and the critical-path analysis as JSON (/critpath,
+// critpath.json) or a human-readable report (make trace).
 
 // JournalDump is the JSON shape of an exported journal. The header
 // carries the recording process's identity (Journal.SetIdentity), so a
@@ -27,19 +27,20 @@ type JournalDump struct {
 	Events  []Event `json:"events"`
 }
 
-// Dump snapshots a journal into its export shape. Nil journals dump as
-// an empty stream.
+// Dump snapshots a journal into its export shape under one lock, so
+// Seen, Dropped, Hash and Events always describe the same window: the
+// events cover cursor positions [Seen-len(Events), Seen). Nil journals
+// dump as an empty stream.
 func Dump(j *Journal) JournalDump {
-	daemon, node, pid := j.Identity()
-	return JournalDump{
-		Daemon:  daemon,
-		PID:     pid,
-		Node:    node,
-		Seen:    j.Seen(),
-		Dropped: j.Dropped(),
-		Hash:    fmt.Sprintf("%016x", j.Hash()),
-		Events:  j.Snapshot(),
+	var d JournalDump
+	if j != nil {
+		j.mu.Lock()
+		d = JournalDump{Daemon: j.daemon, PID: j.pid, Node: j.node, Seen: j.seen, Events: j.snapshotLocked()}
+		j.mu.Unlock()
+		d.Dropped = d.Seen - int64(len(d.Events))
 	}
+	d.Hash = fmt.Sprintf("%016x", hashStream(uint64(d.Seen), d.Events))
+	return d
 }
 
 // WriteJSON writes the journal dump as indented JSON.
@@ -49,8 +50,8 @@ func WriteJSON(w io.Writer, j *Journal) error {
 	return enc.Encode(Dump(j))
 }
 
-// chrome trace-event rows (same dialect as monitor.WriteChromeTrace so
-// both files load in the same viewer).
+// chromeEvent is one row of the Chrome trace-event format (the JSON
+// Perfetto and about:tracing load).
 type chromeEvent struct {
 	Name  string         `json:"name"`
 	Cat   string         `json:"cat,omitempty"`
@@ -65,27 +66,31 @@ type chromeEvent struct {
 	Scope string         `json:"s,omitempty"`
 }
 
-// WriteChromeTrace renders the journal as Chrome trace events: one "X"
-// slice per event with extent, one instant per mark, and "s"/"f" flow
-// arrows from each causal parent to its child — which is what makes
-// cross-rank causality visible in the viewer (arrows from a writer's
-// send slice to the reader's assemble slice). Ranks map to tids; all
-// events share one pid ("flight").
-func WriteChromeTrace(w io.Writer, j *Journal) error {
-	evs := j.Snapshot()
-	const pid = 1
+// WriteChromeTrace renders events as Chrome trace events: one "X" slice
+// per event with extent, one instant per mark, and "s"/"f" flow arrows
+// from each causal parent to its child — which is what makes cross-rank
+// causality visible in the viewer (arrows from a writer's send slice to
+// the reader's assemble slice). Each MergeDumps lane becomes a process
+// ("journal 0", "journal 1", ...) and each rank within it a thread, so a
+// single journal's Snapshot renders as one process.
+func WriteChromeTrace(w io.Writer, evs []Event) error {
 	rows := make([]chromeEvent, 0, 2*len(evs)+1)
-	rows = append(rows, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: pid,
-		Args: map[string]any{"name": "flight journal"},
-	})
-
+	named := make(map[int]bool)
 	live := make(map[EventID]*Event, len(evs))
 	for i := range evs {
 		live[evs[i].ID] = &evs[i]
 	}
+	pidTid := func(rank int) (int, int) { return LaneOf(rank) + 1, rank % RankStride }
 	for i := range evs {
 		ev := &evs[i]
+		pid, tid := pidTid(ev.Rank)
+		if !named[pid] {
+			named[pid] = true
+			rows = append(rows, chromeEvent{
+				Name: "process_name", Ph: "M", Pid: pid,
+				Args: map[string]any{"name": fmt.Sprintf("journal %d", pid-1)},
+			})
+		}
 		args := map[string]any{
 			"kind": ev.Kind.String(), "step": ev.Step, "id": uint64(ev.ID),
 		}
@@ -98,6 +103,9 @@ func WriteChromeTrace(w io.Writer, j *Journal) error {
 		if ev.Channel != "" {
 			args["channel"] = ev.Channel
 		}
+		if ev.Scope != "" {
+			args["scope"] = ev.Scope
+		}
 		if ev.Parent != 0 {
 			args["parent"] = uint64(ev.Parent)
 		}
@@ -105,26 +113,26 @@ func WriteChromeTrace(w io.Writer, j *Journal) error {
 		if ev.Dur > 0 {
 			rows = append(rows, chromeEvent{
 				Name: ev.Point, Cat: ev.Kind.String(), Ph: "X",
-				Ts: ts, Dur: ev.Dur * 1e6, Pid: pid, Tid: ev.Rank, Args: args,
+				Ts: ts, Dur: ev.Dur * 1e6, Pid: pid, Tid: tid, Args: args,
 			})
 		} else {
 			rows = append(rows, chromeEvent{
 				Name: ev.Point, Cat: ev.Kind.String(), Ph: "i",
-				Ts: ts, Pid: pid, Tid: ev.Rank, Scope: "t", Args: args,
+				Ts: ts, Pid: pid, Tid: tid, Scope: "t", Args: args,
 			})
 		}
 		// Flow arrow from the parent's finish to this event's start;
 		// only drawn when the parent is still buffered.
 		if p := live[ev.Parent]; p != nil && ev.Parent != ev.ID {
 			fid := fmt.Sprintf("flow%d", uint64(ev.ID))
+			ppid, ptid := pidTid(p.Rank)
 			rows = append(rows,
-				chromeEvent{Name: "cause", Cat: "flow", Ph: "s", Ts: p.finish() * 1e6, Pid: pid, Tid: p.Rank, ID: fid},
-				chromeEvent{Name: "cause", Cat: "flow", Ph: "f", BP: "e", Ts: ts, Pid: pid, Tid: ev.Rank, ID: fid},
+				chromeEvent{Name: "cause", Cat: "flow", Ph: "s", Ts: p.finish() * 1e6, Pid: ppid, Tid: ptid, ID: fid},
+				chromeEvent{Name: "cause", Cat: "flow", Ph: "f", BP: "e", Ts: ts, Pid: pid, Tid: tid, ID: fid},
 			)
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"traceEvents": rows})
+	return json.NewEncoder(w).Encode(map[string]any{"traceEvents": rows, "displayTimeUnit": "ms"})
 }
 
 // WriteAnalysisJSON writes a critical-path analysis as indented JSON

@@ -1,7 +1,9 @@
 // Package flight is FlexIO's causal flight recorder: a bounded,
 // allocation-lean journal of every causally relevant runtime event —
 // sends and receives, queue admissions, compute stages, blocks and wakes
-// — tagged with {time, rank, step, epoch, channel, causal parent}.
+// — tagged with {time, rank, step, epoch, channel, causal parent}. It is
+// the system's only per-step trace record: the monitor keeps aggregates
+// (histograms, counters, gauges), the journal keeps the timeline.
 //
 // Three consumers sit on top of the journal:
 //
@@ -18,15 +20,15 @@
 //
 // Timestamps come from the recorder: virtual-time simulations record
 // modeled times directly (simnet.Engine satisfies Clock), wall-clock
-// recorders use Begin/End on the journal's injected clock. Replay
+// recorders use Begin/End on the journal's injected clock (wall clock by
+// default, the one clock of the process). Replay
 // hashing is meaningful only for deterministic (single-threaded
 // discrete-event) recorders; multi-goroutine core streams use the
 // journal for critical-path analysis and trace export, where ring order
 // does not matter.
 //
 // A nil *Journal is a valid no-op recorder: every method is nil-safe and
-// the disabled path costs one branch (benchmarked and CI-gated, like the
-// monitor's nil-span path).
+// records nothing (benchmarked and CI-gated).
 package flight
 
 import (
@@ -120,16 +122,14 @@ type Event struct {
 // finish is the event's completion time.
 func (e Event) finish() float64 { return e.T + e.Dur }
 
-// Clock supplies timestamps in seconds; simnet.Engine satisfies it, as
-// does monitor's wall clock. Only differences and ordering are
-// interpreted.
+// Clock supplies timestamps in seconds; simnet.Engine satisfies it. Only
+// differences and ordering are interpreted.
 type Clock interface {
 	Now() float64
 }
 
-// journalStart anchors the default wall clock so journals and monitors
-// created anywhere in the process share one comparable time base shape
-// (monotonic seconds since process start).
+// journalStart anchors the default wall clock so every journal in the
+// process shares one time base (monotonic seconds since process start).
 var journalStart = time.Now()
 
 type wallClock struct{}
@@ -198,17 +198,6 @@ func (j *Journal) SetIdentity(daemon, node string) {
 	j.mu.Unlock()
 }
 
-// Identity reads back the stamped identity (zero values on a nil or
-// unstamped journal).
-func (j *Journal) Identity() (daemon, node string, pid int) {
-	if j == nil {
-		return "", "", 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.daemon, j.node, j.pid
-}
-
 // Now reads the journal's clock (wall clock when unset). Returns 0 on a
 // nil journal.
 func (j *Journal) Now() float64 {
@@ -216,12 +205,8 @@ func (j *Journal) Now() float64 {
 		return 0
 	}
 	j.mu.Lock()
-	c := j.clock
-	j.mu.Unlock()
-	if c == nil {
-		return wallClock{}.Now()
-	}
-	return c.Now()
+	defer j.mu.Unlock()
+	return j.nowLocked()
 }
 
 // Record appends an event with the caller's timestamps (the virtual-time
@@ -243,44 +228,89 @@ func (j *Journal) Record(ev Event) EventID {
 	return ev.ID
 }
 
-// Begin records an event stamped at the journal's clock with zero
-// duration, returning its ID; End later fills the duration in. This is
-// the wall-clock path used by the live data plane.
-func (j *Journal) Begin(ev Event) EventID {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	c := j.clock
-	if c == nil {
-		c = wallClock{}
-	}
-	ev.T = c.Now()
-	j.nextID++
-	ev.ID = j.nextID
-	j.appendLocked(ev)
-	j.mu.Unlock()
-	return ev.ID
+// Observer folds a finished event's duration into an aggregate of its
+// point; *monitor.Monitor satisfies it.
+type Observer interface {
+	Observe(point string, seconds float64)
 }
 
-// End closes an event opened with Begin: its duration becomes now - T.
-// A no-op if the event has already been overwritten by the ring bound
-// (or on a nil journal / zero id).
-func (j *Journal) End(id EventID) {
-	if j == nil || id == 0 {
-		return
+// Stage is one event between Begin and End. The zero Stage — no journal,
+// no observer — is inert: End costs one branch.
+type Stage struct {
+	j   *Journal
+	obs Observer
+	ev  Event
+}
+
+// Begin opens ev: it stamps T on the journal's clock and assigns the ID,
+// so children can link to the event while it is still open, but the
+// event enters the ring only when End completes it — a scraper windowing
+// by Seen never ingests a half-open event. obs, when non-nil, receives
+// the event's duration at End. This is the one recorder call of the live
+// data plane: with a journal it journals, with an observer it feeds the
+// observer's histogram, with both it does both on one clock. With
+// neither it returns the zero Stage without reading any clock. On a nil
+// journal the wall clock times the stage and no ID is assigned.
+func (j *Journal) Begin(obs Observer, ev Event) Stage {
+	if j == nil && obs == nil {
+		return Stage{}
+	}
+	return j.begin(obs, ev)
+}
+
+// begin is Begin past the no-sink check, kept out of line so Begin
+// inlines into every call site.
+func (j *Journal) begin(obs Observer, ev Event) Stage {
+	if j == nil {
+		ev.T = wallClock{}.Now()
+		return Stage{obs: obs, ev: ev}
 	}
 	j.mu.Lock()
-	if ev := j.findLocked(id); ev != nil {
-		c := j.clock
-		if c == nil {
-			c = wallClock{}
+	ev.T = j.nowLocked()
+	j.nextID++
+	ev.ID = j.nextID
+	j.mu.Unlock()
+	return Stage{j: j, obs: obs, ev: ev}
+}
+
+// ID is the open event's ID for parent links (0 without a journal).
+func (s Stage) ID() EventID { return s.ev.ID }
+
+// End completes the event — its duration becomes now - T — appends it to
+// the journal and hands the duration to the observer.
+func (s *Stage) End() {
+	if s.j != nil || s.obs != nil {
+		s.end()
+	}
+}
+
+// end is End past the no-sink check, kept out of line so End inlines.
+func (s *Stage) end() {
+	switch {
+	case s.j != nil:
+		s.j.mu.Lock()
+		if d := s.j.nowLocked() - s.ev.T; d > 0 {
+			s.ev.Dur = d
 		}
-		if d := c.Now() - ev.T; d > 0 {
-			ev.Dur = d
+		s.j.appendLocked(s.ev)
+		s.j.mu.Unlock()
+	default:
+		if d := (wallClock{}).Now() - s.ev.T; d > 0 {
+			s.ev.Dur = d
 		}
 	}
-	j.mu.Unlock()
+	if s.obs != nil {
+		s.obs.Observe(s.ev.Point, s.ev.Dur)
+	}
+}
+
+// nowLocked reads the injected clock (wall clock when unset). Caller
+// holds j.mu.
+func (j *Journal) nowLocked() float64 {
+	if j.clock == nil {
+		return wallClock{}.Now()
+	}
+	return j.clock.Now()
 }
 
 // appendLocked pushes into the bounded ring. Caller holds j.mu.
@@ -294,29 +324,6 @@ func (j *Journal) appendLocked(ev Event) {
 	j.seen++
 }
 
-// findLocked locates a live ring entry by ID using sequential-ID math
-// (no per-event index). Caller holds j.mu.
-func (j *Journal) findLocked(id EventID) *Event {
-	if id == 0 || id > j.nextID {
-		return nil
-	}
-	age := int64(j.nextID - id) // 0 = newest
-	if age >= int64(len(j.events)) {
-		return nil // overwritten
-	}
-	// Newest entry sits just before next (once saturated) or at the end.
-	var idx int
-	if len(j.events) < j.cap {
-		idx = len(j.events) - 1 - int(age)
-	} else {
-		idx = (j.next - 1 - int(age) + 2*j.cap) % j.cap
-	}
-	if idx < 0 {
-		return nil
-	}
-	return &j.events[idx]
-}
-
 // Snapshot copies the ring out oldest-first. Nil journals snapshot
 // empty.
 func (j *Journal) Snapshot() []Event {
@@ -325,23 +332,18 @@ func (j *Journal) Snapshot() []Event {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.snapshotLocked()
+}
+
+// snapshotLocked copies the ring out oldest-first (nil when empty).
+// Caller holds j.mu.
+func (j *Journal) snapshotLocked() []Event {
 	if len(j.events) == 0 {
 		return nil
 	}
 	out := make([]Event, 0, len(j.events))
 	out = append(out, j.events[j.next:]...)
-	out = append(out, j.events[:j.next]...)
-	return out
-}
-
-// Len reports the number of buffered events.
-func (j *Journal) Len() int {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.events)
+	return append(out, j.events[:j.next]...)
 }
 
 // Seen reports the total number of events ever recorded.
@@ -352,16 +354,6 @@ func (j *Journal) Seen() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.seen
-}
-
-// Dropped reports how many events the ring bound has overwritten.
-func (j *Journal) Dropped() int64 {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.seen - int64(len(j.events))
 }
 
 // Reset clears the journal (events, counters and ID sequence), keeping
@@ -386,15 +378,7 @@ func (j *Journal) Hash() uint64 {
 		return HashEvents(nil)
 	}
 	j.mu.Lock()
-	seen := j.seen
-	evs := make([]Event, 0, len(j.events))
-	evs = append(evs, j.events[j.next:]...)
-	evs = append(evs, j.events[:j.next]...)
+	seen, evs := j.seen, j.snapshotLocked()
 	j.mu.Unlock()
-	h := newStreamHash()
-	h.u64(uint64(seen))
-	for i := range evs {
-		h.event(&evs[i])
-	}
-	return h.sum()
+	return hashStream(uint64(seen), evs)
 }

@@ -14,13 +14,14 @@ func TestNilJournalIsSafe(t *testing.T) {
 	if id := j.Record(Event{Kind: KindSend, Point: "x"}); id != 0 {
 		t.Fatalf("nil Record returned %d, want 0", id)
 	}
-	if id := j.Begin(Event{Kind: KindCompute}); id != 0 {
-		t.Fatalf("nil Begin returned %d, want 0", id)
+	st := j.Begin(nil, Event{Kind: KindCompute})
+	if st != (Stage{}) {
+		t.Fatalf("nil Begin without observer = %+v, want the inert Stage", st)
 	}
-	j.End(7)
+	st.End()
 	j.SetClock(nil)
 	j.Reset()
-	if j.Snapshot() != nil || j.Len() != 0 || j.Seen() != 0 || j.Dropped() != 0 {
+	if j.Snapshot() != nil || j.Seen() != 0 || Dump(j).Dropped != 0 {
 		t.Fatal("nil journal should report empty state")
 	}
 	if j.Hash() != HashEvents(nil) {
@@ -46,11 +47,11 @@ func TestRingBoundOverwritesOldest(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		j.Record(Event{Kind: KindCompute, Point: "p", T: float64(i)})
 	}
-	if j.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", j.Len())
+	if n := len(j.Snapshot()); n != 4 {
+		t.Fatalf("buffered = %d, want 4", n)
 	}
-	if j.Seen() != 10 || j.Dropped() != 6 {
-		t.Fatalf("Seen/Dropped = %d/%d, want 10/6", j.Seen(), j.Dropped())
+	if d := Dump(j); d.Seen != 10 || d.Dropped != 6 {
+		t.Fatalf("Seen/Dropped = %d/%d, want 10/6", d.Seen, d.Dropped)
 	}
 	evs := j.Snapshot()
 	for i, ev := range evs {
@@ -64,44 +65,75 @@ func TestBeginEndUsesInjectedClock(t *testing.T) {
 	clk := &fakeClock{t: 10}
 	j := NewJournal(8)
 	j.SetClock(clk)
-	id := j.Begin(Event{Kind: KindCompute, Point: "work", Rank: 2})
+	obs := &pointSums{}
+	st := j.Begin(obs, Event{Kind: KindCompute, Point: "work", Rank: 2})
+	if n := len(j.Snapshot()); st.ID() != 1 || n != 0 {
+		t.Fatalf("Begin: id %d, %d buffered; want id 1 and nothing in the ring yet", st.ID(), n)
+	}
 	clk.t = 12.5
-	j.End(id)
+	st.End()
 	evs := j.Snapshot()
 	if len(evs) != 1 || evs[0].T != 10 || evs[0].Dur != 2.5 {
 		t.Fatalf("span = %+v, want T=10 Dur=2.5", evs)
 	}
-	// End on an overwritten event is a no-op, not a crash.
-	j2 := NewJournal(2)
-	j2.SetClock(clk)
-	first := j2.Begin(Event{Point: "old"})
-	j2.Begin(Event{Point: "x"})
-	j2.Begin(Event{Point: "y"})
-	j2.End(first)
+	// The observer saw the same duration the journal recorded.
+	if obs.sum["work"] != 2.5 || obs.n != 1 {
+		t.Fatalf("observer got %v over %d calls, want work=2.5 once", obs.sum, obs.n)
+	}
+
+	// Observer without a journal: timed on the wall clock, nothing
+	// journaled, no ID.
+	var nilJ *Journal
+	wall := &pointSums{}
+	st = nilJ.Begin(wall, Event{Point: "wall"})
+	st.End()
+	if st.ID() != 0 || wall.n != 1 || wall.sum["wall"] < 0 || wall.sum["wall"] > 1 {
+		t.Fatalf("observer-only stage: id %d, %d observations %v", st.ID(), wall.n, wall.sum)
+	}
 }
 
+// pointSums is a test Observer summing durations per point.
+type pointSums struct {
+	sum map[string]float64
+	n   int
+}
+
+func (p *pointSums) Observe(point string, seconds float64) {
+	if p.sum == nil {
+		p.sum = map[string]float64{}
+	}
+	p.sum[point] += seconds
+	p.n++
+}
+
+// TestEndAfterWrapFindsLiveEvents: an event opened before the ring wraps
+// still lands complete when it ends — the open event travels with its
+// caller, not in the ring — and events enter the ring in end order, so a
+// child that ends first is buffered before its still-open parent.
 func TestEndAfterWrapFindsLiveEvents(t *testing.T) {
 	clk := &fakeClock{t: 0}
 	j := NewJournal(3)
 	j.SetClock(clk)
-	var ids []EventID
-	for i := 0; i < 5; i++ {
+	parent := j.Begin(nil, Event{Point: "flush"})
+	for i := 1; i <= 5; i++ {
 		clk.t = float64(i)
-		ids = append(ids, j.Begin(Event{Point: "p"}))
+		child := j.Begin(nil, Event{Point: "child", Parent: parent.ID()})
+		child.End()
 	}
 	clk.t = 100
-	j.End(ids[4]) // newest, live
-	j.End(ids[2]) // oldest live entry
-	j.End(ids[0]) // overwritten
+	parent.End()
 	evs := j.Snapshot()
-	if len(evs) != 3 {
-		t.Fatalf("Len = %d", len(evs))
+	if d := Dump(j); len(evs) != 3 || d.Seen != 6 || d.Dropped != 3 {
+		t.Fatalf("Len/Seen/Dropped = %d/%d/%d, want 3/6/3", len(evs), d.Seen, d.Dropped)
 	}
-	if evs[2].Dur != 100-4 {
-		t.Fatalf("newest Dur = %v, want 96", evs[2].Dur)
+	last := evs[2]
+	if last.ID != parent.ID() || last.Dur != 100 || last.Point != "flush" {
+		t.Fatalf("parent entered as %+v, want id %d Dur 100 at the newest slot", last, parent.ID())
 	}
-	if evs[0].Dur != 100-2 {
-		t.Fatalf("oldest live Dur = %v, want 98", evs[0].Dur)
+	for _, ev := range evs[:2] {
+		if ev.Parent != parent.ID() || ev.ID <= parent.ID() {
+			t.Fatalf("child %+v does not link to the parent opened before it", ev)
+		}
 	}
 }
 
@@ -175,7 +207,7 @@ func TestResetClearsStream(t *testing.T) {
 	j := NewJournal(8)
 	j.Record(Event{Kind: KindCompute, Point: "a", T: 1})
 	j.Reset()
-	if j.Len() != 0 || j.Seen() != 0 {
+	if j.Snapshot() != nil || j.Seen() != 0 {
 		t.Fatal("Reset did not clear")
 	}
 	if id := j.Record(Event{Kind: KindCompute, Point: "a", T: 1}); id != 1 {

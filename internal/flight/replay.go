@@ -75,9 +75,13 @@ func (s *streamHash) sum() uint64 { return s.h }
 // the fingerprint of the empty stream (a fixed non-zero constant, so a
 // forgotten journal cannot masquerade as a matching one by both hashing
 // to zero).
-func HashEvents(evs []Event) uint64 {
+func HashEvents(evs []Event) uint64 { return hashStream(uint64(len(evs)), evs) }
+
+// hashStream fingerprints evs behind a leading count (the stream length
+// for HashEvents, the total-seen cursor for a journal).
+func hashStream(n uint64, evs []Event) uint64 {
 	h := newStreamHash()
-	h.u64(uint64(len(evs)))
+	h.u64(n)
 	for i := range evs {
 		h.event(&evs[i])
 	}

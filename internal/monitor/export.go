@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"math"
-	"sort"
 )
 
 // timingStatJSON is TimingStat's wire form. Extrema are guarded for the
@@ -64,82 +63,9 @@ func (s *TimingStat) UnmarshalJSON(data []byte) error {
 
 // WriteJSON emits the machine-readable report (metrics.json): every
 // timing point with count/total/extrema/P50/P95/P99 and sparse histogram
-// buckets, plus volumes, counters, gauges, memory, and buffered spans.
+// buckets, plus volumes, counters, gauges and memory.
 func (r Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// chromeEvent is one entry of the Chrome trace-event format (the JSON
-// Perfetto and about:tracing load).
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"` // microseconds
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
-// WriteChromeTrace exports the report's spans as Chrome trace-event JSON,
-// loadable in about:tracing or https://ui.perfetto.dev. Each span Origin
-// (monitor name) becomes a named process lane, each rank a thread within
-// it; step, epoch and parent links travel in the event args so one
-// timestep's pack → send → assemble → plug-in stages can be correlated
-// across writer and reader ranks by selecting on args.step.
-func (r Report) WriteChromeTrace(w io.Writer) error {
-	// Deterministic pid assignment per origin.
-	origins := make([]string, 0, 4)
-	seen := make(map[string]int)
-	for _, sp := range r.Spans {
-		if _, ok := seen[sp.Origin]; !ok {
-			seen[sp.Origin] = 0
-			origins = append(origins, sp.Origin)
-		}
-	}
-	sort.Strings(origins)
-	for i, o := range origins {
-		seen[o] = i + 1
-	}
-
-	tr := chromeTrace{DisplayTimeUnit: "ms"}
-	for _, o := range origins {
-		name := o
-		if name == "" {
-			name = "(unnamed)"
-		}
-		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: seen[o],
-			Args: map[string]any{"name": name},
-		})
-	}
-	for _, sp := range r.Spans {
-		args := map[string]any{"step": sp.Step, "id": sp.ID}
-		if sp.Epoch != 0 {
-			args["epoch"] = sp.Epoch
-		}
-		if sp.Parent != 0 {
-			args["parent"] = sp.Parent
-		}
-		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-			Name: sp.Point,
-			Cat:  "flexio",
-			Ph:   "X",
-			Ts:   sp.Start * 1e6,
-			Dur:  sp.Dur * 1e6,
-			Pid:  seen[sp.Origin],
-			Tid:  sp.Rank,
-			Args: args,
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(tr)
 }

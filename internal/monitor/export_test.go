@@ -7,60 +7,9 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"flexio/internal/flight"
 )
-
-func TestWriteChromeTrace(t *testing.T) {
-	w := New("writers")
-	r := New("readers")
-	cw := &fakeClock{t: 1}
-	cr := &fakeClock{t: 1}
-	w.SetClock(cw)
-	r.SetClock(cr)
-
-	sp := w.StartSpan("writer.pack", 3, 0).SetEpoch(2)
-	cw.t = 1.5
-	sp.End()
-	sp2 := r.StartSpan("reader.assemble", 3, 1).SetEpoch(2)
-	cr.t = 2
-	sp2.End()
-
-	merged := Merge("trace", w.Snapshot(), r.Snapshot())
-	var buf bytes.Buffer
-	if err := merged.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var tr struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &tr); err != nil {
-		t.Fatalf("chrome trace is not valid JSON: %v\n%s", err, buf.String())
-	}
-	var metas, complete int
-	pids := map[string]float64{} // span name -> pid
-	for _, ev := range tr.TraceEvents {
-		switch ev["ph"] {
-		case "M":
-			metas++
-		case "X":
-			complete++
-			pids[ev["name"].(string)] = ev["pid"].(float64)
-			args := ev["args"].(map[string]any)
-			if args["step"].(float64) != 3 || args["epoch"].(float64) != 2 {
-				t.Fatalf("span args lost: %+v", ev)
-			}
-			if ev["dur"].(float64) <= 0 {
-				t.Fatalf("non-positive dur: %+v", ev)
-			}
-		}
-	}
-	if metas != 2 || complete != 2 {
-		t.Fatalf("got %d process-name metas, %d complete events; want 2/2", metas, complete)
-	}
-	// Writer and reader spans land in different process lanes.
-	if pids["writer.pack"] == pids["reader.assemble"] {
-		t.Fatalf("writer and reader spans share a pid")
-	}
-}
 
 func TestWriteJSONMachineReadable(t *testing.T) {
 	m := New("json")
@@ -89,9 +38,14 @@ func TestServerEndpoints(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.Observe("writer.pack", 1e-3)
 	}
-	m.StartSpan("writer.pack", 1, 0).End()
+	// One journaled stage: its event reaches /trace, its duration the
+	// monitor's writer.pack histogram.
+	j := flight.NewJournal(0)
+	st := j.Begin(m, flight.Event{Kind: flight.KindCompute, Point: "writer.pack", Step: 1})
+	st.End()
 
 	srv := NewServer(func() Report { return m.Snapshot() })
+	srv.SetFlightSource(func() *flight.Journal { return j })
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -124,15 +78,22 @@ func TestServerEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(get("/trace")), &tr); err != nil {
 		t.Fatalf("/trace invalid: %v", err)
 	}
-	if len(tr.TraceEvents) == 0 {
-		t.Fatal("/trace empty")
+	var stages int
+	for _, ev := range tr.TraceEvents {
+		if ev["name"] == "writer.pack" {
+			stages++
+		}
 	}
-	var spans Report
-	if err := json.Unmarshal([]byte(get("/spans")), &spans); err != nil {
-		t.Fatalf("/spans invalid: %v", err)
+	if stages != 1 {
+		t.Fatalf("/trace carries %d writer.pack events, want 1: %v", stages, tr.TraceEvents)
 	}
-	if len(spans.Spans) != 1 {
-		t.Fatalf("/spans returned %d spans, want 1", len(spans.Spans))
+	resp, err := http.Get("http://" + addr + "/spans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/spans = %d, want 404 (the journal is the only trace record)", resp.StatusCode)
 	}
 	var full Report
 	if err := json.Unmarshal([]byte(get("/report")), &full); err != nil {

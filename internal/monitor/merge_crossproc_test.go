@@ -136,29 +136,21 @@ func TestMergeInfPinnedBuckets(t *testing.T) {
 	}
 }
 
-// TestMergeIdentityAndCursor: identity fields travel per process and
-// merge into Origins; span cursors sum so the fleet total-ever-recorded
-// count survives aggregation.
-func TestMergeIdentityAndCursor(t *testing.T) {
+// TestMergeIdentity: identity fields travel per process and merge into
+// Origins, and a merge of merges carries them through.
+func TestMergeIdentity(t *testing.T) {
 	a := New("wd0")
 	a.SetIdentity("wd0", "host-a")
-	a.StartSpan("writer.flush", 1, 0).End()
+	a.Observe("writer.flush", 0.001)
 	b := New("rd0")
 	b.SetIdentity("rd0", "host-b")
-	b.StartSpan("reader.assemble", 1, 0).End()
-	b.StartSpan("reader.assemble", 2, 0).End()
+	b.Observe("reader.assemble", 0.002)
 
 	ra, rb := roundTrip(t, a.Snapshot()), roundTrip(t, b.Snapshot())
 	if ra.Daemon != "wd0" || ra.Node != "host-a" || ra.PID == 0 {
 		t.Fatalf("identity lost on the wire: %+v", ra)
 	}
-	if ra.SpanCursor != 1 || rb.SpanCursor != 2 {
-		t.Fatalf("cursors = %d, %d want 1, 2", ra.SpanCursor, rb.SpanCursor)
-	}
 	merged := Merge("fleet", ra, rb)
-	if merged.SpanCursor != 3 {
-		t.Fatalf("merged cursor = %d, want 3", merged.SpanCursor)
-	}
 	if len(merged.Origins) != 2 || merged.Origins[0] == merged.Origins[1] {
 		t.Fatalf("origins = %v, want two distinct process identities", merged.Origins)
 	}

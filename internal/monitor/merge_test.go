@@ -10,7 +10,7 @@ import (
 // together with concurrent Observe/Snapshot (see `make race`).
 
 func TestMergeEmptyReports(t *testing.T) {
-	if got := Merge("none"); len(got.Timings) != 0 || len(got.Spans) != 0 {
+	if got := Merge("none"); len(got.Timings) != 0 || len(got.Origins) != 0 {
 		t.Fatalf("merge of nothing not empty: %+v", got)
 	}
 	m := New("a")
@@ -80,26 +80,7 @@ func TestMergeHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestMergeSpansAndDropCounts(t *testing.T) {
-	a, b := New("a"), New("b")
-	a.SetSpanCapacity(2)
-	a.RecordSpan(Span{Point: "x", Start: 3, Dur: 1})
-	a.RecordSpan(Span{Point: "x", Start: 5, Dur: 1})
-	a.RecordSpan(Span{Point: "x", Start: 7, Dur: 1}) // drops the first
-	b.RecordSpan(Span{Point: "y", Start: 4, Dur: 1})
-	got := Merge("m", a.Snapshot(), b.Snapshot())
-	if len(got.Spans) != 3 || got.SpansDropped != 1 {
-		t.Fatalf("spans=%d dropped=%d, want 3/1", len(got.Spans), got.SpansDropped)
-	}
-	// Timestamp-ordered across origins.
-	for i := 1; i < len(got.Spans); i++ {
-		if got.Spans[i].Start < got.Spans[i-1].Start {
-			t.Fatalf("merged spans unsorted: %+v", got.Spans)
-		}
-	}
-}
-
-// TestConcurrentObserveSnapshotMerge hammers Observe/StartSpan against
+// TestConcurrentObserveSnapshotMerge hammers Observe/Set against
 // Snapshot+Merge from other goroutines; -race proves the paths are safe.
 func TestConcurrentObserveSnapshotMerge(t *testing.T) {
 	m1, m2 := New("w"), New("r")
@@ -117,7 +98,6 @@ func TestConcurrentObserveSnapshotMerge(t *testing.T) {
 				default:
 				}
 				m.Observe("lat", float64(i%7)*1e-4)
-				m.StartSpan("stage", int64(i), i%4).SetEpoch(1).End()
 				m.Set("epoch", int64(i%3))
 			}
 		}()

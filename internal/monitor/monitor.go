@@ -6,15 +6,13 @@
 // analytics side can steer data-movement scheduling and plug-in placement.
 //
 // Timings are log-bucketed histograms, so merged reports expose tail
-// latency (P50/P95/P99) per measurement point, not just min/max. Spans
-// (span.go) add per-step structure: one timestep's pack → send → assemble
-// → plug-in stages can be followed end to end across ranks and exported
-// as a Chrome trace (export.go) or served live (server.go).
-//
-// Timestamps come from an injectable Clock. The default is the wall
-// clock; virtual-time simulations inject their discrete-event engine
-// (simnet.Engine satisfies Clock) so modeled and measured seconds are
-// never mixed in the same TimingStat.
+// latency (P50/P95/P99) per measurement point, not just min/max. The
+// monitor keeps aggregates only: per-step structure — one timestep's
+// pack → send → assemble → plug-in stages followed across ranks — is the
+// flight journal's (internal/flight), whose data-path stages fold their
+// durations into the monitor histogram of the same point as they end.
+// The monitor reads no clock: durations arrive measured (journal stages,
+// Observe) or modeled (virtual-time simulators call Observe directly).
 //
 // A nil *Monitor is a valid no-op monitor: every method is nil-safe and
 // returns immediately, so instrumented code needs no guards and pays
@@ -28,28 +26,7 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"time"
 )
-
-// Clock supplies timestamps in seconds. The zero point is arbitrary but
-// must be fixed for the clock's lifetime: only differences and relative
-// ordering are interpreted. simnet.Engine's virtual clock satisfies this
-// interface directly.
-type Clock interface {
-	Now() float64
-}
-
-// processStart anchors the wall clock so every monitor in the process
-// shares one time base and spans from different monitors correlate.
-var processStart = time.Now()
-
-type wallClock struct{}
-
-func (wallClock) Now() float64 { return time.Since(processStart).Seconds() }
-
-// WallClock returns the default clock: monotonic seconds since process
-// start.
-func WallClock() Clock { return wallClock{} }
 
 // HistBuckets is the number of log2 latency buckets a TimingStat carries.
 const HistBuckets = 64
@@ -181,10 +158,6 @@ func (s TimingStat) P95() float64 { return s.Quantile(0.95) }
 // P99 is the 99th-percentile duration estimate.
 func (s TimingStat) P99() float64 { return s.Quantile(0.99) }
 
-// DefaultSpanCapacity bounds the per-monitor span ring buffer; once full,
-// the oldest spans are overwritten (Report.SpansDropped counts them).
-const DefaultSpanCapacity = 4096
-
 // Monitor collects measurements. All methods are safe for concurrent use
 // and nil-safe (a nil *Monitor is the no-op fast path); a Monitor
 // typically belongs to one FlexIO process group.
@@ -192,7 +165,6 @@ type Monitor struct {
 	Name string
 
 	mu      sync.Mutex
-	clock   Clock
 	daemon  string // SetIdentity: owning daemon id
 	node    string // SetIdentity: host/node name
 	pid     int    // SetIdentity: recording process id
@@ -202,15 +174,9 @@ type Monitor struct {
 	gauges  map[string]int64
 	memCur  int64
 	memPeak int64
-
-	spans      []Span // ring buffer, oldest at spanNext once saturated
-	spanCap    int
-	spanNext   int
-	spanSeen   int64
-	nextSpanID uint64
 }
 
-// New creates a named monitor on the wall clock.
+// New creates a named monitor.
 func New(name string) *Monitor {
 	return &Monitor{
 		Name:    name,
@@ -218,37 +184,7 @@ func New(name string) *Monitor {
 		volumes: make(map[string]int64),
 		counts:  make(map[string]int64),
 		gauges:  make(map[string]int64),
-		spanCap: DefaultSpanCapacity,
 	}
-}
-
-// SetClock injects the timestamp source for Start and StartSpan; nil
-// restores the wall clock. Virtual-time runs pass their simnet engine so
-// modeled seconds never mix with wall seconds.
-func (m *Monitor) SetClock(c Clock) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.clock = c
-	m.mu.Unlock()
-}
-
-// SetSpanCapacity resizes the span ring buffer (existing spans are
-// dropped); n <= 0 disables span recording entirely.
-func (m *Monitor) SetSpanCapacity(n int) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	if n < 0 {
-		n = 0
-	}
-	m.spanCap = n
-	m.spans = nil
-	m.spanNext = 0
-	m.spanSeen = 0
-	m.mu.Unlock()
 }
 
 // SetIdentity stamps the monitor with the recording process's identity:
@@ -272,30 +208,10 @@ func (m *Monitor) SetIdentity(daemon, node string) {
 	m.mu.Unlock()
 }
 
-// now reads the injected clock (wall clock when unset).
-func (m *Monitor) now() float64 {
-	m.mu.Lock()
-	c := m.clock
-	m.mu.Unlock()
-	if c == nil {
-		return wallClock{}.Now()
-	}
-	return c.Now()
-}
-
-// Start begins timing a measurement point on the monitor's clock; invoke
-// the returned func to stop. Usage: defer m.Start("redistribute")().
-func (m *Monitor) Start(point string) func() {
-	if m == nil {
-		return func() {}
-	}
-	t0 := m.now()
-	return func() { m.Observe(point, m.now()-t0) }
-}
-
-// Observe records a duration (in seconds) for a measurement point. Used
-// directly by the virtual-time simulator, where durations are modeled
-// rather than measured.
+// Observe records a duration (in seconds) for a measurement point. Data
+// path stages reach it through their flight journal stage's End
+// (Monitor is a flight.Observer); the virtual-time simulator calls it
+// directly with modeled durations.
 func (m *Monitor) Observe(point string, seconds float64) {
 	if m == nil {
 		return
@@ -410,18 +326,6 @@ type Report struct {
 	Gauges  map[string]int64      `json:"gauges,omitempty"`
 	MemCur  int64                 `json:"mem_cur,omitempty"`
 	MemPeak int64                 `json:"mem_peak,omitempty"`
-	// Spans holds the ring buffer's contents, oldest first;
-	// SpansDropped counts spans already overwritten by the bound.
-	Spans        []Span `json:"spans,omitempty"`
-	SpansDropped int64  `json:"spans_dropped,omitempty"`
-	// SpanCursor is the total number of spans ever recorded by this
-	// monitor — a monotonic position, so a scraper holding the cursor of
-	// its previous sweep can tell exactly which of Spans are new
-	// (Spans covers positions [SpanCursor-len(Spans), SpanCursor)) and
-	// whether the ring evicted spans it never saw (a gap, when the
-	// previous cursor is below the window start) instead of silently
-	// double-counting or missing spans between sweeps.
-	SpanCursor int64 `json:"span_cursor,omitempty"`
 }
 
 // Snapshot captures the current state. A nil monitor snapshots empty.
@@ -455,11 +359,6 @@ func (m *Monitor) Snapshot() Report {
 	for k, v := range m.gauges {
 		r.Gauges[k] = v
 	}
-	r.Spans = m.snapshotSpansLocked()
-	r.SpanCursor = m.spanSeen
-	if dropped := m.spanSeen - int64(len(m.spans)); dropped > 0 {
-		r.SpansDropped = dropped
-	}
 	return r
 }
 
@@ -479,13 +378,10 @@ func (r Report) origin() string {
 // Merge combines reports (e.g. gathered from all simulation ranks, or
 // scraped from every daemon of a fleet) into one: timings aggregate
 // bucket-wise, volumes and counters sum, memory peaks take the
-// max-of-peaks and sum-of-current, and spans concatenate in timestamp
-// order. Each input's process identity (or its own Origins, when the
-// input is itself a merge) is preserved in the output's Origins list,
-// deduplicated in first-seen order, so a merged fleet artifact never
-// loses track of which processes contributed. SpanCursor sums: it stays
-// the total spans ever recorded across the merged processes, though
-// per-process gap accounting must happen before merging.
+// max-of-peaks and sum-of-current. Each input's process identity (or its
+// own Origins, when the input is itself a merge) is preserved in the
+// output's Origins list, deduplicated in first-seen order, so a merged
+// fleet artifact never loses track of which processes contributed.
 func Merge(name string, reports ...Report) Report {
 	out := Report{
 		Name:    name,
@@ -536,11 +432,7 @@ func Merge(name string, reports ...Report) Report {
 		if r.MemPeak > out.MemPeak {
 			out.MemPeak = r.MemPeak
 		}
-		out.Spans = append(out.Spans, r.Spans...)
-		out.SpansDropped += r.SpansDropped
-		out.SpanCursor += r.SpanCursor
 	}
-	sort.SliceStable(out.Spans, func(i, j int) bool { return out.Spans[i].Start < out.Spans[j].Start })
 	return out
 }
 
@@ -598,11 +490,6 @@ func (r Report) WriteTrace(w io.Writer) error {
 	sort.Strings(keys)
 	for _, k := range keys {
 		if _, err := fmt.Fprintf(w, "gauge  %-32s v=%d\n", k, r.Gauges[k]); err != nil {
-			return err
-		}
-	}
-	if len(r.Spans) > 0 || r.SpansDropped > 0 {
-		if _, err := fmt.Fprintf(w, "spans  buffered=%d dropped=%d\n", len(r.Spans), r.SpansDropped); err != nil {
 			return err
 		}
 	}

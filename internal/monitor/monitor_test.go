@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestObserveAggregates(t *testing.T) {
@@ -19,17 +18,6 @@ func TestObserveAggregates(t *testing.T) {
 	}
 	if st.Mean() != 2.0 {
 		t.Fatalf("mean = %g", st.Mean())
-	}
-}
-
-func TestStartStop(t *testing.T) {
-	m := New("r")
-	stop := m.Start("op")
-	time.Sleep(2 * time.Millisecond)
-	stop()
-	st := m.Snapshot().Timings["op"]
-	if st.Count != 1 || st.Total <= 0 {
-		t.Fatalf("stat = %+v", st)
 	}
 }
 

@@ -13,25 +13,24 @@ import (
 // experiment can be watched mid-flight (including mid-reconfiguration):
 //
 //	/metrics   human-readable point table with P50/P95/P99 per timing
-//	/trace     Chrome trace-event JSON of the buffered spans
-//	/spans     raw span list as JSON
 //	/report    the full machine-readable report
 //	/journal   flight-recorder event journal as JSON (with stream hash)
+//	/trace     Chrome trace-event JSON of the journal
 //	/critpath  per-step critical-path analysis of the journal as JSON
 //
 // The source callback is invoked per request, so every response is a
 // fresh snapshot; typical sources Merge the live writer- and reader-side
-// monitors. /journal and /critpath respond 404 until SetFlightSource
-// attaches a flight recorder.
+// monitors. /journal, /trace and /critpath respond 404 until
+// SetFlightSource attaches a flight recorder.
 //
 // Concurrency contract: every handler materializes a complete copied
 // snapshot (Snapshot/Dump hold the monitor or journal lock only while
-// copying) and encodes from that copy, so no monitor lock is ever held
-// across JSON encoding or a slow client write — a scraper hammering
-// /spans during a live run stalls neither the data path nor other
-// requests. /spans responses keep the report's SpanCursor and
-// SpansDropped fields, so sweeping scrapers can window the ring without
-// double-counting (see Report.SpanCursor).
+// copying) and encodes from that copy, so no lock is ever held across
+// JSON encoding or a slow client write — a scraper hammering /journal
+// during a live run stalls neither the data path nor other requests.
+// /journal carries the dump's monotonic Seen cursor and Dropped count,
+// so sweeping scrapers can window the ring without double-counting (see
+// flight.JournalDump).
 type Server struct {
 	src func() Report
 
@@ -46,9 +45,10 @@ func NewServer(src func() Report) *Server {
 	return &Server{src: src}
 }
 
-// SetFlightSource attaches a flight-recorder source serving /journal and
-// /critpath. Like the report source it is invoked per request; a nil
-// source (or a source returning nil) detaches the endpoints.
+// SetFlightSource attaches a flight-recorder source serving /journal,
+// /trace and /critpath. Like the report source it is invoked per
+// request; a nil source (or a source returning nil) detaches the
+// endpoints.
 func (s *Server) SetFlightSource(src func() *flight.Journal) {
 	s.mu.Lock()
 	s.flight = src
@@ -74,16 +74,6 @@ func (s *Server) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		s.src().WriteTrace(w) //nolint:errcheck // client hang-up mid-write
 	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		s.src().WriteChromeTrace(w) //nolint:errcheck
-	})
-	mux.HandleFunc("/spans", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		rep := s.src()
-		rep.Timings, rep.Volumes, rep.Counts, rep.Gauges = nil, nil, nil, nil
-		rep.WriteJSON(w) //nolint:errcheck
-	})
 	mux.HandleFunc("/report", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		s.src().WriteJSON(w) //nolint:errcheck
@@ -96,6 +86,15 @@ func (s *Server) Handler() http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		flight.WriteJSON(w, j) //nolint:errcheck
+	})
+	mux.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
+		j, ok := s.flightJournal()
+		if !ok {
+			http.Error(w, "no flight recorder attached", http.StatusNotFound)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		flight.WriteChromeTrace(w, j.Snapshot()) //nolint:errcheck
 	})
 	mux.HandleFunc("/critpath", func(w http.ResponseWriter, req *http.Request) {
 		j, ok := s.flightJournal()

@@ -15,11 +15,14 @@
 //
 // Each daemon is scraped with its own timeout and failure backoff, so
 // one dead or wedged node delays only its own slot, never the sweep.
-// Span scraping is windowed by the monitor's monotonic SpanCursor
-// (Report.SpanCursor): the collector keeps the cursor of its previous
-// sweep per daemon and takes exactly the spans recorded since, counting
-// ring evictions it never saw as an explicit per-daemon gap instead of
-// silently double-counting or missing spans between sweeps.
+// Two endpoints per daemon: /report (aggregates) and /journal (the
+// per-step event record). Journal scraping is windowed by the dump's
+// monotonic Seen cursor (flight.JournalDump): the collector keeps the
+// cursor of its previous sweep per daemon and takes exactly the events
+// completed since, counting ring evictions it never saw as an explicit
+// per-daemon gap instead of silently double-counting or missing events
+// between sweeps. One event store per daemon feeds both the stitched
+// step table and the stitched critical paths.
 //
 // Cross-process correlation assumes the scraped processes share a
 // comparable time base (in-process drills trivially do; a real
@@ -66,16 +69,16 @@ type Options struct {
 	// Jitter is the sweep-interval jitter fraction in [0, 1)
 	// (default 0.2).
 	Jitter float64
-	// Timeout bounds each daemon's scrape — all three endpoint fetches
+	// Timeout bounds each daemon's scrape — both endpoint fetches
 	// together (default 2s). A daemon that exceeds it counts as failed
 	// for the sweep; the others are unaffected.
 	Timeout time.Duration
 	// Backoff is how long a failed daemon is skipped before it is
 	// scraped again (default 500ms).
 	Backoff time.Duration
-	// SpanCap bounds the per-daemon accumulated span store (default
-	// 1<<16); overflow drops oldest spans and is counted per daemon.
-	SpanCap int
+	// EventCap bounds the per-daemon accumulated event store (default
+	// 1<<16); overflow drops oldest events and is counted per daemon.
+	EventCap int
 	// SLOs are the per-tenant latency objectives evaluated after every
 	// sweep.
 	SLOs []SLO
@@ -106,8 +109,8 @@ func (o *Options) withDefaults() Options {
 	if out.Backoff <= 0 {
 		out.Backoff = 500 * time.Millisecond
 	}
-	if out.SpanCap <= 0 {
-		out.SpanCap = 1 << 16
+	if out.EventCap <= 0 {
+		out.EventCap = 1 << 16
 	}
 	if out.Client == nil {
 		out.Client = &http.Client{}
@@ -123,12 +126,12 @@ type daemonState struct {
 	lastErr      string // most recent scrape error ("" after a success)
 	backoffUntil time.Time
 
-	lastCursor   int64 // SpanCursor after the previous successful scrape
-	gap          int64 // spans evicted by the daemon's ring before we saw them
-	localDropped int64 // spans we dropped to our own SpanCap
-	spans        []monitor.Span
-	report       monitor.Report     // last good report, spans stripped
-	dump         flight.JournalDump // last good journal dump
+	lastCursor   int64          // journal Seen after the previous successful scrape
+	gap          int64          // events evicted by the daemon's ring before we saw them
+	localDropped int64          // events we dropped to our own EventCap
+	origin       string         // the journal's daemon identity, for attribution
+	events       []flight.Event // windowed, each ingested exactly once
+	report       monitor.Report // last good report
 	hasReport    bool
 }
 
@@ -139,9 +142,10 @@ type DaemonStatus struct {
 	Alive    bool   `json:"alive"`
 	Failures int    `json:"failures"`
 	LastErr  string `json:"last_error,omitempty"`
-	// Cursor is the daemon's span cursor at the last successful scrape;
-	// Gap counts spans its ring evicted between sweeps (never scraped),
-	// Dropped counts spans the collector evicted to its own SpanCap.
+	// Cursor is the daemon's journal cursor (JournalDump.Seen) at the
+	// last successful scrape; Gap counts events its ring evicted between
+	// sweeps (never scraped), Dropped counts events the collector evicted
+	// to its own EventCap.
 	Cursor  int64 `json:"cursor"`
 	Gap     int64 `json:"gap"`
 	Dropped int64 `json:"dropped,omitempty"`
@@ -153,8 +157,8 @@ type FleetSnapshot struct {
 	Daemons []DaemonStatus `json:"daemons"`
 	// Report is the fleet-merged monitor report (monitor.Merge
 	// semantics: histograms merge bucket-wise, counters sum, gauges
-	// max). Spans are stripped — the stitched Steps own span-level
-	// detail, windowed per daemon so nothing is double-counted.
+	// max). The stitched Steps own per-step detail, built from the
+	// windowed event stores so nothing is double-counted.
 	Report monitor.Report `json:"report"`
 	Steps  []StitchedStep `json:"steps"`
 	SLOs   []SLOStatus    `json:"slos,omitempty"`
@@ -261,7 +265,7 @@ func (c *Collector) Sweep() error {
 		jobs = append(jobs, job{key, url})
 	}
 	// A daemon whose lease expired keeps its accumulated history (its
-	// spans already in flight remain stitched) but is marked gone.
+	// events already scraped remain stitched) but is marked gone.
 	for key, st := range c.daemons {
 		if _, ok := targets[key]; !ok {
 			st.alive = false
@@ -293,20 +297,17 @@ func (c *Collector) Sweep() error {
 	return nil
 }
 
-// scrape fetches one daemon's /spans, /report and /journal under the
-// per-daemon timeout and folds the results into its state. A missing
-// /journal (404: no flight recorder attached) is tolerated; transport
-// errors on any endpoint fail the scrape and arm the backoff.
+// scrape fetches one daemon's /report and /journal under the per-daemon
+// timeout and folds the results into its state. A missing /journal
+// (404: no flight recorder attached) is tolerated; transport errors on
+// either endpoint fail the scrape and arm the backoff.
 func (c *Collector) scrape(key, url string) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.opts.Timeout)
 	defer cancel()
 
-	var spansRep, fullRep monitor.Report
+	var rep monitor.Report
 	var dump flight.JournalDump
-	err := c.getJSON(ctx, url+"/spans", &spansRep)
-	if err == nil {
-		err = c.getJSON(ctx, url+"/report", &fullRep)
-	}
+	err := c.getJSON(ctx, url+"/report", &rep)
 	haveDump := false
 	if err == nil {
 		switch jerr := c.getJSON(ctx, url+"/journal", &dump); {
@@ -336,42 +337,40 @@ func (c *Collector) scrape(key, url string) {
 	st.alive = true
 	st.failures = 0
 	st.lastErr = ""
-	st.ingestSpansLocked(spansRep, c.opts.SpanCap)
-	fullRep.Spans = nil // the windowed store owns span-level detail
-	fullRep.SpansDropped = 0
-	st.report = fullRep
+	st.report = rep
 	st.hasReport = true
 	if haveDump {
-		st.dump = dump
+		st.ingestLocked(dump, c.opts.EventCap)
 	}
 }
 
-// ingestSpansLocked windows a /spans response against the cursor of the
-// previous sweep: Spans covers monitor positions
-// [SpanCursor-len(Spans), SpanCursor), so the spans recorded since last
-// sweep are exactly those past the previous cursor — and positions
-// between the previous cursor and the window start were evicted by the
-// daemon's ring before this sweep saw them (a gap, counted, never
-// silently absorbed). A cursor that moved backwards means the monitor
-// was reset; windowing restarts from zero.
-func (st *daemonState) ingestSpansLocked(rep monitor.Report, spanCap int) {
-	if rep.SpanCursor < st.lastCursor {
+// ingestLocked windows a /journal dump against the cursor of the previous
+// sweep: Events covers journal positions [Seen-len(Events), Seen), so the
+// events completed since last sweep are exactly those past the previous
+// cursor — and positions between the previous cursor and the window
+// start were evicted by the daemon's ring before this sweep saw them (a
+// gap, counted, never silently absorbed). A cursor that moved backwards
+// means the journal was reset; windowing restarts from zero. Events enter
+// a journal only when they end, so nothing ingested is half-open.
+func (st *daemonState) ingestLocked(dump flight.JournalDump, eventCap int) {
+	if dump.Seen < st.lastCursor {
 		st.lastCursor = 0
 	}
-	windowStart := rep.SpanCursor - int64(len(rep.Spans))
+	windowStart := dump.Seen - int64(len(dump.Events))
 	newFrom := st.lastCursor - windowStart
 	if newFrom < 0 {
 		st.gap += -newFrom
 		newFrom = 0
 	}
-	if newFrom > int64(len(rep.Spans)) {
-		newFrom = int64(len(rep.Spans))
+	if newFrom > int64(len(dump.Events)) {
+		newFrom = int64(len(dump.Events))
 	}
-	st.spans = append(st.spans, rep.Spans[newFrom:]...)
-	st.lastCursor = rep.SpanCursor
-	if over := len(st.spans) - spanCap; over > 0 {
+	st.events = append(st.events, dump.Events[newFrom:]...)
+	st.lastCursor = dump.Seen
+	st.origin = dump.Daemon
+	if over := len(st.events) - eventCap; over > 0 {
 		st.localDropped += int64(over)
-		st.spans = append(st.spans[:0:0], st.spans[over:]...)
+		st.events = append(st.events[:0:0], st.events[over:]...)
 	}
 }
 
@@ -449,7 +448,7 @@ func (c *Collector) sortedKeysLocked() []string {
 	return keys
 }
 
-// CritPaths merges the fleet's journal dumps (stable daemon order →
+// CritPaths merges the fleet's event stores (stable daemon order →
 // stable rank lanes) and runs the critical-path analysis per scope.
 // Step paths whose edges span more than one lane cross a process
 // boundary (flight.CrossesProcess).
@@ -457,12 +456,12 @@ func (c *Collector) CritPaths() map[string]flight.Analysis {
 	c.mu.Lock()
 	dumps := make([]flight.JournalDump, 0, len(c.daemons))
 	for _, key := range c.sortedKeysLocked() {
-		if st := c.daemons[key]; len(st.dump.Events) > 0 {
-			dumps = append(dumps, st.dump)
+		if st := c.daemons[key]; len(st.events) > 0 {
+			dumps = append(dumps, flight.JournalDump{Events: st.events})
 		}
 	}
-	c.mu.Unlock()
 	merged := flight.MergeDumps(dumps...)
+	c.mu.Unlock()
 	out := make(map[string]flight.Analysis)
 	for scope, evs := range flight.SplitScopes(merged) {
 		out[scope] = flight.Analyze(evs)

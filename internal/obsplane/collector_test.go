@@ -11,19 +11,21 @@ import (
 	"flexio/internal/monitor"
 )
 
-// scrapeTarget wires a live monitor (and optionally a journal) behind a
-// real monitor.Server handler in httptest, registered in a Mem
-// directory under the obs! namespace — the exact shape a flexnode
-// exposes to the collector.
+// scrapeTarget wires a live monitor and journal behind a real
+// monitor.Server handler in httptest, registered in a Mem directory under
+// the obs! namespace — the exact shape a flexnode exposes to the
+// collector.
 type scrapeTarget struct {
 	mon *monitor.Monitor
 	jrn *flight.Journal
 	srv *httptest.Server
 }
 
-func newScrapeTarget(t *testing.T, dir *directory.Mem, name string) *scrapeTarget {
+// newScrapeTarget builds a target whose journal holds capacity events
+// (<= 0 selects flight.DefaultCapacity).
+func newScrapeTarget(t *testing.T, dir *directory.Mem, name string, capacity int) *scrapeTarget {
 	t.Helper()
-	st := &scrapeTarget{mon: monitor.New(name), jrn: flight.NewJournal(0)}
+	st := &scrapeTarget{mon: monitor.New(name), jrn: flight.NewJournal(capacity)}
 	st.mon.SetIdentity(name, "")
 	st.jrn.SetIdentity(name, "")
 	msrv := monitor.NewServer(func() monitor.Report { return st.mon.Snapshot() })
@@ -36,24 +38,29 @@ func newScrapeTarget(t *testing.T, dir *directory.Mem, name string) *scrapeTarge
 	return st
 }
 
-func span(scope string, step int64, point string, start, dur float64) monitor.Span {
-	return monitor.Span{Point: point, Scope: scope, Step: step, Start: start, Dur: dur}
+// stage records one finished data-path stage the way the data plane
+// does: journaled, and its duration folded into the monitor histogram.
+func (st *scrapeTarget) stage(scope string, step int64, point string, start, dur float64) {
+	st.jrn.Record(flight.Event{Kind: flight.KindCompute, Point: point, Scope: scope, Step: step, T: start, Dur: dur})
+	st.mon.Observe(point, dur)
 }
 
-// TestCollectorWindowingNoDoubleCount: three sweeps over a monitor that
-// records spans between them must accumulate every span exactly once —
+// TestCollectorWindowingNoDoubleCount: three sweeps over a journal that
+// records events between them must accumulate every event exactly once —
 // the cursor window, not re-reading the whole ring, decides what is new.
+// The ring holds less than the total, so the window, not the ring size,
+// is what keeps the count exact.
 func TestCollectorWindowingNoDoubleCount(t *testing.T) {
 	dir := directory.NewMem()
 	defer dir.Close()
-	tgt := newScrapeTarget(t, dir, "wd0")
+	tgt := newScrapeTarget(t, dir, "wd0", 8)
 	c := New(dir, Options{})
 	defer c.Close() //nolint:errcheck
 
 	total := 0
 	for sweep := 0; sweep < 3; sweep++ {
 		for i := 0; i < 5; i++ {
-			tgt.mon.RecordSpan(span("acme/gts", int64(total), "writer.flush", float64(total), 0.001))
+			tgt.stage("acme/gts", int64(total), "writer.flush", float64(total), 0.001)
 			total++
 		}
 		if err := c.Sweep(); err != nil {
@@ -70,42 +77,44 @@ func TestCollectorWindowingNoDoubleCount(t *testing.T) {
 		t.Fatalf("daemons = %d, want 1", len(snap.Daemons))
 	}
 	d := snap.Daemons[0]
-	if d.Gap != 0 || d.Cursor != int64(total) {
-		t.Fatalf("gap=%d cursor=%d, want 0 and %d", d.Gap, d.Cursor, total)
+	if d.Gap != 0 || d.Dropped != 0 || d.Cursor != int64(total) {
+		t.Fatalf("gap=%d dropped=%d cursor=%d, want 0, 0 and %d", d.Gap, d.Dropped, d.Cursor, total)
 	}
 	stitched := 0
 	for _, st := range snap.Steps {
-		stitched += st.Spans
+		stitched += st.Events
 	}
 	if stitched != total {
-		t.Fatalf("stitched %d spans, want %d (double-counted or lost)", stitched, total)
+		t.Fatalf("stitched %d events, want %d (double-counted or lost)", stitched, total)
 	}
 }
 
-// TestCollectorGapDetection: a span ring smaller than the inter-sweep
-// recording burst must surface the evicted spans as an explicit
-// per-daemon gap with exact cursor math, not silently absorb them.
+// TestCollectorGapDetection: a journal ring smaller than the inter-sweep
+// recording burst must surface the evicted events as an explicit
+// per-daemon gap with exact cursor math, not silently absorb them; and a
+// collector store smaller than what it ingested counts its own evictions
+// as Dropped, just as exactly.
 func TestCollectorGapDetection(t *testing.T) {
 	dir := directory.NewMem()
 	defer dir.Close()
-	tgt := newScrapeTarget(t, dir, "wd0")
-	tgt.mon.SetSpanCapacity(4)
-	c := New(dir, Options{})
+	tgt := newScrapeTarget(t, dir, "wd0", 4)
+	c := New(dir, Options{EventCap: 6})
 	defer c.Close() //nolint:errcheck
 
 	for i := 0; i < 10; i++ {
-		tgt.mon.RecordSpan(span("acme/gts", int64(i), "writer.flush", float64(i), 0.001))
+		tgt.stage("acme/gts", int64(i), "writer.flush", float64(i), 0.001)
 	}
 	if err := c.Sweep(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 10; i < 20; i++ {
-		tgt.mon.RecordSpan(span("acme/gts", int64(i), "writer.flush", float64(i), 0.001))
+		tgt.stage("acme/gts", int64(i), "writer.flush", float64(i), 0.001)
 	}
 	if err := c.Sweep(); err != nil {
 		t.Fatal(err)
 	}
-	d := c.Snapshot().Daemons[0]
+	snap := c.Snapshot()
+	d := snap.Daemons[0]
 	// Each burst of 10 leaves a 4-deep ring: 6 evicted before the sweep.
 	if d.Gap != 12 {
 		t.Fatalf("gap = %d, want 12 (6 evicted per burst)", d.Gap)
@@ -113,28 +122,93 @@ func TestCollectorGapDetection(t *testing.T) {
 	if d.Cursor != 20 {
 		t.Fatalf("cursor = %d, want 20", d.Cursor)
 	}
+	// Steps 6-9 and 16-19 ingested into a 6-event store: the 2 oldest
+	// dropped, and the stitched table holds exactly the newest 6 steps.
+	if d.Dropped != 2 || len(snap.Steps) != 6 || snap.Steps[0].Step != 8 {
+		t.Fatalf("dropped = %d, stitched %d steps from %d; want 2, 6 from step 8", d.Dropped, len(snap.Steps), snap.Steps[0].Step)
+	}
 }
 
-// TestCollectorStitchAcrossDaemons: a writer daemon's send span and a
-// reader daemon's assemble span of the same {scope, step} must join
+// TestCollectorNeverIngestsOpenEvents: a scrape while a writer.flush is
+// still open must not see it (events enter the journal when they end);
+// the next scrape takes it exactly once, with its final duration, and
+// the stitched step's latency is that duration.
+func TestCollectorNeverIngestsOpenEvents(t *testing.T) {
+	dir := directory.NewMem()
+	defer dir.Close()
+	tgt := newScrapeTarget(t, dir, "wd0", 0)
+	clk := &stepClock{t: 1}
+	tgt.jrn.SetClock(clk)
+	c := New(dir, Options{})
+	defer c.Close() //nolint:errcheck
+
+	const scope = "acme/gts"
+	flush := tgt.jrn.Begin(tgt.mon, flight.Event{Kind: flight.KindCompute, Point: "writer.flush", Scope: scope})
+	pack := tgt.jrn.Begin(tgt.mon, flight.Event{Kind: flight.KindCompute, Point: "writer.pack", Scope: scope, Parent: flush.ID()})
+	clk.t = 1.2
+	pack.End()
+	if err := c.Sweep(); err != nil {
+		t.Fatal(err)
+	}
+	flushes := func() (n int, dur float64) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for _, st := range c.daemons {
+			for _, ev := range st.events {
+				if ev.Point == "writer.flush" {
+					n++
+					dur = ev.Dur
+				}
+			}
+		}
+		return n, dur
+	}
+	if n, _ := flushes(); n != 0 {
+		t.Fatalf("open flush ingested %d times before it ended", n)
+	}
+
+	clk.t = 1.5
+	flush.End()
+	for i := 0; i < 2; i++ { // the second sweep must not re-ingest it
+		if err := c.Sweep(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, dur := flushes()
+	if n != 1 || dur != 0.5 {
+		t.Fatalf("flush ingested %d times with Dur %v, want once with 0.5", n, dur)
+	}
+	steps := c.Snapshot().Steps
+	if len(steps) != 1 || steps[0].Latency != dur || steps[0].Events != 2 {
+		t.Fatalf("stitched %+v, want one step of latency %v from 2 events", steps, dur)
+	}
+}
+
+// stepClock is a hand-advanced flight.Clock.
+type stepClock struct{ t float64 }
+
+func (c *stepClock) Now() float64 { return c.t }
+
+// TestCollectorStitchAcrossDaemons: a writer daemon's send event and a
+// reader daemon's assemble event of the same {scope, step} must join
 // into one cross-process step whose envelope spans both.
 func TestCollectorStitchAcrossDaemons(t *testing.T) {
 	dir := directory.NewMem()
 	defer dir.Close()
-	wd := newScrapeTarget(t, dir, "wd0")
-	rd := newScrapeTarget(t, dir, "rd0")
+	wd := newScrapeTarget(t, dir, "wd0", 0)
+	rd := newScrapeTarget(t, dir, "rd0", 0)
 	c := New(dir, Options{})
 	defer c.Close() //nolint:errcheck
 
 	const scope = "acme/gts"
 	for s := int64(0); s < 3; s++ {
 		base := float64(s)
-		wd.mon.RecordSpan(span(scope, s, "writer.flush", base, 0.010))
-		wd.mon.RecordSpan(span(scope, s, "send.tcp", base+0.002, 0.003))
-		rd.mon.RecordSpan(span(scope, s, "reader.assemble", base+0.006, 0.008))
+		wd.stage(scope, s, "writer.flush", base, 0.010)
+		wd.stage(scope, s, "send.tcp", base+0.002, 0.003)
+		rd.stage(scope, s, "reader.assemble", base+0.006, 0.008)
 	}
-	// Housekeeping spans outside any stream must not leak into steps.
-	wd.mon.RecordSpan(monitor.Span{Point: "node.heartbeat", Start: 0, Dur: 0.001})
+	// Housekeeping events outside any stream must not leak into steps.
+	wd.stage("", 0, "node.heartbeat", 0, 0.001)
 	if err := c.Sweep(); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +244,7 @@ func TestCollectorStitchAcrossDaemons(t *testing.T) {
 func TestCollectorDeadDaemonBackoff(t *testing.T) {
 	dir := directory.NewMem()
 	defer dir.Close()
-	live := newScrapeTarget(t, dir, "wd0")
+	live := newScrapeTarget(t, dir, "wd0", 0)
 	dead := httptest.NewServer(nil)
 	deadURL := dead.URL
 	dead.Close()
@@ -180,7 +254,7 @@ func TestCollectorDeadDaemonBackoff(t *testing.T) {
 	c := New(dir, Options{Timeout: 250 * time.Millisecond, Backoff: 100 * time.Millisecond})
 	defer c.Close() //nolint:errcheck
 
-	live.mon.RecordSpan(span("acme/gts", 0, "writer.flush", 0, 0.001))
+	live.stage("acme/gts", 0, "writer.flush", 0, 0.001)
 	if err := c.Sweep(); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +299,7 @@ func TestCollectorDeadDaemonBackoff(t *testing.T) {
 func TestCollectorSLOBreachLatch(t *testing.T) {
 	dir := directory.NewMem()
 	defer dir.Close()
-	tgt := newScrapeTarget(t, dir, "rd0")
+	tgt := newScrapeTarget(t, dir, "rd0", 0)
 	var fires atomic.Int64
 	c := New(dir, Options{
 		SLOs: []SLO{
@@ -244,8 +318,8 @@ func TestCollectorSLOBreachLatch(t *testing.T) {
 	step := int64(0)
 	slowSteps := func(n int) {
 		for i := 0; i < n; i++ {
-			tgt.mon.RecordSpan(span("lag/gts", step, "reader.assemble", float64(step), 0.025))
-			tgt.mon.RecordSpan(span("acme/gts", step, "reader.assemble", float64(step), 0.001))
+			tgt.stage("lag/gts", step, "reader.assemble", float64(step), 0.025)
+			tgt.stage("acme/gts", step, "reader.assemble", float64(step), 0.001)
 			step++
 		}
 	}
@@ -276,7 +350,7 @@ func TestCollectorSLOBreachLatch(t *testing.T) {
 	// Recovery: eight fast steps fill the window, the latch re-arms, and
 	// a later relapse fires a second episode.
 	for i := 0; i < 8; i++ {
-		tgt.mon.RecordSpan(span("lag/gts", step, "reader.assemble", float64(step), 0.001))
+		tgt.stage("lag/gts", step, "reader.assemble", float64(step), 0.001)
 		step++
 	}
 	if err := c.Sweep(); err != nil {
@@ -288,7 +362,7 @@ func TestCollectorSLOBreachLatch(t *testing.T) {
 		}
 	}
 	for i := 0; i < 8; i++ {
-		tgt.mon.RecordSpan(span("lag/gts", step, "reader.assemble", float64(step), 0.025))
+		tgt.stage("lag/gts", step, "reader.assemble", float64(step), 0.025)
 		step++
 	}
 	if err := c.Sweep(); err != nil {
@@ -305,8 +379,8 @@ func TestCollectorSLOBreachLatch(t *testing.T) {
 func TestCollectorCritPathCrossesProcess(t *testing.T) {
 	dir := directory.NewMem()
 	defer dir.Close()
-	wd := newScrapeTarget(t, dir, "wd0")
-	rd := newScrapeTarget(t, dir, "rd0")
+	wd := newScrapeTarget(t, dir, "wd0", 0)
+	rd := newScrapeTarget(t, dir, "rd0", 0)
 	c := New(dir, Options{})
 	defer c.Close() //nolint:errcheck
 

@@ -10,10 +10,10 @@ import (
 
 // TestObsplaneMergeBudget is the CI regression gate for the fleet
 // collector's per-sweep merge cost: one Snapshot over an 8-daemon,
-// 16k-span fleet (report merge + step stitching) must stay under the
+// 16k-event fleet (report merge + step stitching) must stay under the
 // ns/op budget recorded in BENCH_obsplane.json. The budget is generous
 // (~4x measured) so it catches an accidental quadratic stitch or
-// per-span re-scan across sweeps, not scheduler jitter. Excluded under
+// per-event re-scan across sweeps, not scheduler jitter. Excluded under
 // -race (instrumented builds time nothing meaningful).
 func TestObsplaneMergeBudget(t *testing.T) {
 	if testing.Short() {

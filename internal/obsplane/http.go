@@ -11,7 +11,7 @@ import (
 // per-daemon monitor.Server endpoints one level up:
 //
 //	/fleet/metrics   human-readable fleet-merged point table
-//	/fleet/spans     JSON: per-daemon health + stitched step table
+//	/fleet/steps     JSON: per-daemon health + stitched step table
 //	/fleet/critpath  JSON: per-scope stitched critical-path analyses
 //	/fleet/slo       JSON: per-tenant SLO statuses
 //
@@ -35,7 +35,7 @@ func (c *Collector) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		c.Snapshot().Report.WriteTrace(w) //nolint:errcheck // client hang-up mid-write
 	})
-	mux.HandleFunc("/fleet/spans", func(w http.ResponseWriter, req *http.Request) {
+	mux.HandleFunc("/fleet/steps", func(w http.ResponseWriter, req *http.Request) {
 		snap := c.Snapshot()
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(struct { //nolint:errcheck

@@ -7,10 +7,11 @@ import (
 )
 
 // StitchedStep is one timestep of one tenant-qualified stream,
-// reassembled from spans scraped across the fleet: the writer daemon's
-// flush/pack/send spans and the reader daemon's accept/assemble spans
-// of the same {scope, step} join into a single end-to-end latency
-// envelope, with the contributing daemons attributed by span origin.
+// reassembled from journal events scraped across the fleet: the writer
+// daemon's flush/pack/send events and the reader daemon's
+// accept/assemble events of the same {scope, step} join into a single
+// end-to-end latency envelope, with the contributing daemons attributed
+// by the journal identity they were scraped from.
 type StitchedStep struct {
 	// Scope is the tenant-qualified stream key (directory.Qualify
 	// grammar); Tenant and Stream are its split halves for rollups.
@@ -18,25 +19,25 @@ type StitchedStep struct {
 	Tenant string `json:"tenant,omitempty"`
 	Stream string `json:"stream"`
 	Step   int64  `json:"step"`
-	// Epoch is the highest session epoch seen among the step's spans
+	// Epoch is the highest session epoch seen among the step's events
 	// (a step spanning a reconfiguration reports the post-switch epoch).
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Start is the earliest span start, Finish the latest span end, and
+	// Start is the earliest event start, Finish the latest event end, and
 	// Latency their difference — the cross-process step envelope.
 	Start   float64 `json:"start"`
 	Finish  float64 `json:"finish"`
 	Latency float64 `json:"latency"`
-	Spans   int     `json:"spans"`
-	// Daemons lists the distinct span origins that contributed, sorted;
+	Events  int     `json:"events"`
+	// Daemons lists the distinct daemons that contributed, sorted;
 	// CrossProcess is len(Daemons) > 1.
 	Daemons      []string `json:"daemons"`
 	CrossProcess bool     `json:"cross_process"`
 }
 
-// stitchLocked joins the per-daemon windowed span stores into the
-// stitched step table, grouped by {Scope, Step} and sorted by scope
-// then step. Un-scoped spans (node housekeeping, transport internals)
-// belong to no stream and are left out. Caller holds c.mu.
+// stitchLocked joins the per-daemon windowed event stores into the
+// stitched step table, grouped by {Scope, Step} and sorted by scope then
+// step. Un-scoped events (node housekeeping, transport internals) belong
+// to no stream and are left out. Caller holds c.mu.
 func (c *Collector) stitchLocked() []StitchedStep {
 	type key struct {
 		scope string
@@ -45,35 +46,37 @@ func (c *Collector) stitchLocked() []StitchedStep {
 	acc := make(map[key]*StitchedStep)
 	daemons := make(map[key]map[string]bool)
 	for _, st := range c.daemons {
-		for i := range st.spans {
-			sp := &st.spans[i]
-			if sp.Scope == "" {
+		origin := st.origin
+		if origin == "" {
+			origin = st.key
+		}
+		for i := range st.events {
+			ev := &st.events[i]
+			if ev.Scope == "" {
 				continue
 			}
-			k := key{sp.Scope, sp.Step}
+			k := key{ev.Scope, ev.Step}
 			s := acc[k]
 			if s == nil {
-				tenant, stream := directory.SplitTenant(sp.Scope)
+				tenant, stream := directory.SplitTenant(ev.Scope)
 				s = &StitchedStep{
-					Scope: sp.Scope, Tenant: tenant, Stream: stream,
-					Step: sp.Step, Start: sp.Start, Finish: sp.Start + sp.Dur,
+					Scope: ev.Scope, Tenant: tenant, Stream: stream,
+					Step: ev.Step, Start: ev.T, Finish: ev.T + ev.Dur,
 				}
 				acc[k] = s
 				daemons[k] = make(map[string]bool)
 			}
-			if sp.Start < s.Start {
-				s.Start = sp.Start
+			if ev.T < s.Start {
+				s.Start = ev.T
 			}
-			if end := sp.Start + sp.Dur; end > s.Finish {
+			if end := ev.T + ev.Dur; end > s.Finish {
 				s.Finish = end
 			}
-			if sp.Epoch > s.Epoch {
-				s.Epoch = sp.Epoch
+			if ev.Epoch > s.Epoch {
+				s.Epoch = ev.Epoch
 			}
-			s.Spans++
-			if sp.Origin != "" {
-				daemons[k][sp.Origin] = true
-			}
+			s.Events++
+			daemons[k][origin] = true
 		}
 	}
 	out := make([]StitchedStep, 0, len(acc))

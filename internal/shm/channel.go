@@ -13,7 +13,6 @@ import (
 const (
 	msgInline byte = 1 // payload lives in the queue slot itself
 	msgPooled byte = 2 // payload lives in a pool buffer; async, two copies
-	msgXpmem  byte = 3 // payload is the producer's own buffer; sync, one copy
 	msgHandle byte = 4 // header inline, payload passed by reference; async, zero payload copies
 )
 
@@ -31,25 +30,24 @@ var (
 
 // ChannelStats counts transport activity for the performance monitor.
 // CopiedBytes counts every payload byte memcpy'd through channel-owned
-// memory (inline and pooled messages copy on both ends, xpmem once,
-// handle messages only their headers) — the quantity the zero-copy path
-// is meant to collapse.
+// memory (inline and pooled messages copy on both ends, handle messages
+// only their headers) — the quantity the zero-copy path is meant to
+// collapse.
 type ChannelStats struct {
-	MessagesSent  int64
-	BytesSent     int64
-	InlineSends   int64
-	PooledSends   int64
-	ZeroCopySends int64
-	HandleSends   int64
-	CopiedBytes   int64
+	MessagesSent int64
+	BytesSent    int64
+	InlineSends  int64
+	PooledSends  int64
+	HandleSends  int64
+	CopiedBytes  int64
 }
 
 // Channel is a one-directional intra-node transport between one producer
 // and one consumer, combining the paper's three mechanisms: small messages
 // travel inline through the FastForward data queue; large asynchronous
 // messages go through the producer's shared buffer pool (two copies); and
-// large synchronous messages use the XPMEM-style path where the consumer
-// copies directly out of the producer's source buffer (one copy).
+// the XPMEM-style path hands the consumer the producer's own buffer
+// (SendHandle: header inline, payload by reference, no payload copy).
 type Channel struct {
 	q    *Queue
 	pool *BufferPool
@@ -70,21 +68,16 @@ type Channel struct {
 
 type outEntry struct {
 	buf       []byte
-	done      chan struct{} // non-nil for zero-copy sends: closed when consumed
-	onRelease func()        // non-nil for handle sends: returns the buffer to its owner
-	once      sync.Once     // guards the release (Recv, RecvMsg and Close may race)
+	onRelease func()    // non-nil for handle sends: returns the buffer to its owner
+	once      sync.Once // guards the release (Recv, RecvMsg and Close may race)
 }
 
-// release hands the buffer back to its producer exactly once: it runs the
-// handle-send release callback and unblocks a synchronous zero-copy
-// sender.
+// release hands the buffer back to its producer exactly once by running
+// the handle-send release callback.
 func (e *outEntry) release() {
 	e.once.Do(func() {
 		if e.onRelease != nil {
 			e.onRelease()
-		}
-		if e.done != nil {
-			close(e.done)
 		}
 	})
 }
@@ -177,28 +170,6 @@ func (c *Channel) SendHandle(hdr, payload []byte, onRelease func()) error {
 	return nil
 }
 
-// SendZeroCopy delivers msg synchronously via the XPMEM-style path: the
-// consumer copies directly out of msg, and SendZeroCopy returns only after
-// that copy completes (the equivalent of xpmem_make/xpmem_get round trip).
-// The caller must not mutate msg until SendZeroCopy returns. It reports
-// false if the channel closed first.
-func (c *Channel) SendZeroCopy(msg []byte) bool {
-	c.countSend(len(msg))
-	e := &outEntry{buf: msg, done: make(chan struct{})}
-	id := c.register(e)
-	var frame [ctlHeader]byte
-	frame[0] = msgXpmem
-	binary.LittleEndian.PutUint64(frame[1:], id)
-	if !c.q.Enqueue(frame[:]) {
-		c.unregister(id)
-		return false
-	}
-	<-e.done
-	c.bump(func(s *ChannelStats) { s.ZeroCopySends++ })
-	c.recordQueueEvent(flight.KindEnqueue, "shm.send.zerocopy", len(msg))
-	return true
-}
-
 // Received is one message delivered by RecvMsg. For handle messages,
 // Payload references the producer's buffer and Release must be called
 // (exactly once, from any goroutine) when the consumer is done with it;
@@ -256,18 +227,6 @@ func (c *Channel) recvMsg(dst []byte, byRef bool) (Received, bool) {
 		c.bump(func(s *ChannelStats) { s.CopiedBytes += int64(len(dst)) })
 		c.recordQueueEvent(flight.KindDequeue, "shm.recv", len(dst))
 		return Received{Msg: dst}, true
-	case msgXpmem:
-		id := binary.LittleEndian.Uint64(frame[1:])
-		e := c.take(id)
-		if e == nil {
-			return Received{}, false
-		}
-		dst = grow(dst, len(e.buf))
-		copy(dst, e.buf) // the only copy
-		e.release()
-		c.bump(func(s *ChannelStats) { s.CopiedBytes += int64(len(dst)) })
-		c.recordQueueEvent(flight.KindDequeue, "shm.recv", len(dst))
-		return Received{Msg: dst}, true
 	case msgHandle:
 		id := binary.LittleEndian.Uint64(frame[1:])
 		e := c.take(id)
@@ -295,8 +254,7 @@ func (c *Channel) recvMsg(dst []byte, byRef bool) (Received, bool) {
 
 // Close shuts down the channel. Blocked senders and receivers return
 // false once the queue drains; messages already enqueued (inline or
-// pooled) remain receivable. Outstanding zero-copy senders are released
-// so they cannot deadlock, and outstanding handle payloads run their
+// pooled) remain receivable. Outstanding handle payloads run their
 // onRelease so producer buffers are never stranded; entries stay takeable
 // for a receiver that drains the queue afterwards.
 func (c *Channel) Close() {

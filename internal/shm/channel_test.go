@@ -43,50 +43,6 @@ func TestChannelPooledRoundTrip(t *testing.T) {
 	}
 }
 
-func TestChannelZeroCopyRoundTrip(t *testing.T) {
-	c, _ := NewChannel(8, 64, 0)
-	defer c.Close()
-	msg := bytes.Repeat([]byte("z"), 5000)
-	done := make(chan bool)
-	go func() { done <- c.SendZeroCopy(msg) }()
-	got, ok := c.Recv(nil)
-	if !ok || !bytes.Equal(got, msg) {
-		t.Fatal("zero-copy Recv failed")
-	}
-	if !<-done {
-		t.Fatal("SendZeroCopy should report true")
-	}
-	st := c.Stats()
-	if st.ZeroCopySends != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// Zero-copy must not touch the pool.
-	if ps := c.Pool().Stats(); ps.Allocs != 0 {
-		t.Fatalf("zero-copy should not allocate pool buffers: %+v", ps)
-	}
-}
-
-func TestChannelZeroCopyBlocksUntilConsumed(t *testing.T) {
-	c, _ := NewChannel(8, 64, 0)
-	defer c.Close()
-	msg := make([]byte, 1000)
-	started := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		close(started)
-		c.SendZeroCopy(msg)
-		close(finished)
-	}()
-	<-started
-	select {
-	case <-finished:
-		t.Fatal("SendZeroCopy returned before consumer copied")
-	default:
-	}
-	c.Recv(nil)
-	<-finished // must complete now
-}
-
 func TestChannelRecvReusesDst(t *testing.T) {
 	c, _ := NewChannel(8, 128, 0)
 	defer c.Close()
@@ -108,16 +64,17 @@ func TestChannelCloseUnblocksAll(t *testing.T) {
 		_, ok := c.Recv(nil)
 		recvDone <- ok
 	}()
-	zcDone := make(chan bool)
-	// Fill the queue so the zero-copy control message blocks, then close.
+	sendDone := make(chan bool)
+	// Fill the queue so the next send's control message blocks, then
+	// close.
 	c.Send([]byte("a"))
 	c.Send([]byte("b"))
-	go func() { zcDone <- c.SendZeroCopy(make([]byte, 1000)) }()
+	go func() { sendDone <- c.Send(make([]byte, 1000)) }()
 	c.Close()
 	// Receiver may get a pending message or a closed signal; either way
 	// it must return.
 	<-recvDone
-	<-zcDone
+	<-sendDone
 }
 
 func TestChannelMixedTrafficOrdered(t *testing.T) {
@@ -321,7 +278,7 @@ func BenchmarkSPSCQueueInline(b *testing.B) {
 	}
 }
 
-func BenchmarkChannelPooledVsZeroCopy(b *testing.B) {
+func BenchmarkChannelPooledVsHandle(b *testing.B) {
 	const size = 1 << 20
 	msg := make([]byte, size)
 	b.Run("pooled-2copy", func(b *testing.B) {
@@ -342,7 +299,7 @@ func BenchmarkChannelPooledVsZeroCopy(b *testing.B) {
 		}
 		<-done
 	})
-	b.Run("xpmem-1copy", func(b *testing.B) {
+	b.Run("handle-0copy", func(b *testing.B) {
 		c, _ := NewChannel(64, 256, 0)
 		defer c.Close()
 		b.SetBytes(size)
@@ -350,13 +307,15 @@ func BenchmarkChannelPooledVsZeroCopy(b *testing.B) {
 		b.ResetTimer()
 		go func() {
 			for i := 0; i < b.N; i++ {
-				c.SendZeroCopy(msg)
+				c.SendHandle([]byte("hdr"), msg, func() {}) //nolint:errcheck
 			}
 			close(done)
 		}()
 		var buf []byte
 		for i := 0; i < b.N; i++ {
-			buf, _ = c.Recv(buf)
+			r, _ := c.RecvMsg(buf)
+			buf = r.Msg
+			r.Release()
 		}
 		<-done
 	})

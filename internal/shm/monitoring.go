@@ -7,7 +7,7 @@ import (
 
 // SetJournal attaches a flight recorder to the channel: every successful
 // send is journaled as an enqueue event ("shm.send.inline" / ".pooled" /
-// ".zerocopy" / ".handle") and every delivery as a dequeue ("shm.recv",
+// ".handle") and every delivery as a dequeue ("shm.recv",
 // or "shm.recv.handle" for by-reference deliveries), stamped on
 // the journal's clock. These are transport-level events (Step -1): they
 // feed trace export and queue-behaviour inspection, while step
@@ -45,7 +45,6 @@ func (c *Channel) ReportTo(m *monitor.Monitor, prefix string) {
 	m.Set(prefix+"bytes", st.BytesSent)
 	m.Set(prefix+"inline", st.InlineSends)
 	m.Set(prefix+"pooled", st.PooledSends)
-	m.Set(prefix+"zerocopy", st.ZeroCopySends)
 	m.Set(prefix+"handle", st.HandleSends)
 	m.Set(prefix+"copied_bytes", st.CopiedBytes)
 

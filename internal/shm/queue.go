@@ -187,9 +187,6 @@ func (q *Queue) Dequeue(dst []byte) (int, bool) {
 // aborts. Close is safe to call from either side, once.
 func (q *Queue) Close() { q.closed.Store(true) }
 
-// Closed reports whether Close was called.
-func (q *Queue) Closed() bool { return q.closed.Load() }
-
 // WaitCounts reports how many blocking Enqueue calls found the ring full
 // and how many blocking Dequeue calls found it empty.
 func (q *Queue) WaitCounts() (enq, deq int64) {

@@ -128,6 +128,3 @@ func (e *Engine) RunUntil(t float64) {
 		e.now = t
 	}
 }
-
-// Pending reports the number of queued (possibly cancelled) events.
-func (e *Engine) Pending() int { return e.queue.Len() }

@@ -57,9 +57,6 @@ func NewFluidNet(eng *Engine) *FluidNet {
 	return &FluidNet{eng: eng, active: make(map[int64]*Flow)}
 }
 
-// Active reports the number of in-flight flows.
-func (n *FluidNet) Active() int { return len(n.active) }
-
 // StartFlow begins moving `bytes` across the given resources after a fixed
 // `latency`. rateLimit caps the flow's own bandwidth (0 means unlimited —
 // only resource shares apply). done is invoked at the virtual completion
