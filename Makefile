@@ -10,7 +10,8 @@ check: fmt vet build race e2e
 ## run, plus the benchmark regression gates (budgets in
 ## BENCH_monitor.json / BENCH_flight.json / BENCH_redist.json /
 ## BENCH_obsplane.json; all run without -race so the measurements are
-## honest), the benchmark's smoke test, and the three drills.
+## honest), the benchmark's smoke test, and the four drills (trace is the
+## one whose off-node epoch crosses the loopback wire in-process).
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -24,6 +25,7 @@ ci:
 	$(MAKE) multiproc
 	$(MAKE) soak
 	$(MAKE) fleetobs
+	$(MAKE) trace
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -40,10 +42,11 @@ build:
 test:
 	$(GO) test ./...
 
-## race: race-detector run over the packages on the M×N data path and
-## its one recorder (flight journal → monitor histograms → collector).
+## race: race-detector run over the packages on the M×N data path —
+## including evpath, whose tcp transport carries core's cross-node pairs —
+## and its one recorder (flight journal → monitor histograms → collector).
 race:
-	$(GO) test -race -count=1 ./internal/core/ ./internal/ndarray/ ./internal/shm/ \
+	$(GO) test -race -count=1 ./internal/core/ ./internal/evpath/ ./internal/ndarray/ ./internal/shm/ \
 		./internal/monitor/ ./internal/flight/ ./internal/obsplane/ ./internal/coupled/
 
 ## e2e: vet and smoke-test flexio-bench (benchmark/ is a module of its
@@ -79,7 +82,8 @@ reconfig:
 	$(GO) run ./cmd/flexbench -exp reconfig
 
 ## trace: the one-record-stream drill — runs an instrumented stream
-## through a mid-run reconfiguration (live /metrics, /journal, /trace and
+## through a mid-run reconfiguration that moves the readers off-node, from
+## shm onto tcp over a loopback socket (live /metrics, /journal, /trace and
 ## /critpath self-checked mid-run), the observation-steered coupled
 ## model, and the switched coupled scenario cut into per-step critical
 ## paths (edge sums must stay within 5% of each step's event envelope,
@@ -101,8 +105,9 @@ multiproc:
 		|| { [ $$? -eq 127 ] && $(GO) run ./cmd/flexbench -exp multiproc; }
 
 ## soak: the multi-tenant stream-fabric drill under the race detector —
-## 32 tenants x 16 epochs share one staging pool, one transport fabric
-## and one sharded directory; a quota-limited hot tenant must
+## 32 tenants x 16 epochs share one staging pool, one Net (cross-node
+## reconfigurations ride its loopback tcp wire) and one sharded
+## directory; a quota-limited hot tenant must
 ## backpressure against its own credit window without inflating any
 ## steady tenant's P99 step latency, and two tenants are grown/shrunk
 ## mid-run from observed signals. The outer timeout is a guard for

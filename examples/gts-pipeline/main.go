@@ -17,8 +17,6 @@ import (
 	"flexio/internal/dcplugin"
 	"flexio/internal/directory"
 	"flexio/internal/evpath"
-	"flexio/internal/machine"
-	"flexio/internal/rdma"
 )
 
 const (
@@ -30,7 +28,7 @@ const (
 )
 
 func main() {
-	net := evpath.NewNet(rdma.NewFabric(machine.Smoky(8).Net))
+	net := evpath.NewNet(nil)
 	ctx := adios.NewContext(net, directory.NewMem(), "", nil) // stream engine defaults
 	io, err := ctx.DeclareIO("particles")
 	if err != nil {

@@ -20,8 +20,6 @@ import (
 	"flexio/internal/dcplugin"
 	"flexio/internal/directory"
 	"flexio/internal/evpath"
-	"flexio/internal/machine"
-	"flexio/internal/rdma"
 )
 
 const configXML = `
@@ -46,7 +44,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(fsRoot)
-	net := evpath.NewNet(rdma.NewFabric(machine.Smoky(4).Net))
+	net := evpath.NewNet(nil)
 	ctx := adios.NewContext(net, directory.NewMem(), fsRoot, cfg)
 	io, err := ctx.DeclareIO("particles")
 	if err != nil {

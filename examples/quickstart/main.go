@@ -16,9 +16,7 @@ import (
 	"flexio/internal/adios"
 	"flexio/internal/directory"
 	"flexio/internal/evpath"
-	"flexio/internal/machine"
 	"flexio/internal/ndarray"
-	"flexio/internal/rdma"
 )
 
 const configXML = `
@@ -50,7 +48,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(fsRoot)
-	net := evpath.NewNet(rdma.NewFabric(machine.Titan(4).Net))
+	net := evpath.NewNet(nil)
 	ctx := adios.NewContext(net, directory.NewMem(), fsRoot, cfg)
 	io, err := ctx.DeclareIO("demo")
 	if err != nil {

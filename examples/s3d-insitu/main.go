@@ -19,9 +19,7 @@ import (
 	"flexio/internal/dcplugin"
 	"flexio/internal/directory"
 	"flexio/internal/evpath"
-	"flexio/internal/machine"
 	"flexio/internal/ndarray"
-	"flexio/internal/rdma"
 )
 
 const (
@@ -39,7 +37,7 @@ func main() {
 	}
 	fmt.Println("writing images to", outDir)
 
-	net := evpath.NewNet(rdma.NewFabric(machine.Titan(8).Net))
+	net := evpath.NewNet(nil)
 	ctx := adios.NewContext(net, directory.NewMem(), outDir, nil)
 	io, err := ctx.DeclareIO("species")
 	if err != nil {

@@ -12,10 +12,8 @@ import (
 	"flexio/internal/dcplugin"
 	"flexio/internal/directory"
 	"flexio/internal/evpath"
-	"flexio/internal/machine"
 	"flexio/internal/monitor"
 	"flexio/internal/ndarray"
-	"flexio/internal/rdma"
 )
 
 const testConfigXML = `
@@ -72,6 +70,7 @@ func TestParseConfigErrors(t *testing.T) {
 		`<parameter name="async" value="?"/>`,
 		`<parameter name="queue_depth" value="0"/>`,
 		`<parameter name="transport" value="carrier-pigeon"/>`,
+		`<parameter name="transport" value="rdma"/>`, // the retired emulator
 		`<parameter name="wormhole" value="1"/>`,
 	}
 	for _, p := range badParams {
@@ -97,8 +96,7 @@ func newTestContext(t *testing.T, cfgXML string) *Context {
 			t.Fatal(err)
 		}
 	}
-	net := evpath.NewNet(rdma.NewFabric(machine.Titan(8).Net))
-	return NewContext(net, directory.NewMem(), t.TempDir(), cfg)
+	return NewContext(evpath.NewNet(nil), directory.NewMem(), t.TempDir(), cfg)
 }
 
 // runEngineRoundTrip exercises the identical application code against a
@@ -232,6 +230,25 @@ func TestFileEngineRoundTrip(t *testing.T) {
 func TestConfiguredStreamEngine(t *testing.T) {
 	ctx := newTestContext(t, testConfigXML)
 	runEngineRoundTrip(t, ctx, "particles") // CACHING_ALL + batching + async
+}
+
+// TestConfiguredTCPTransport selects the wire by config alone: every
+// writer-reader pair crosses a loopback socket of the context's Net.
+func TestConfiguredTCPTransport(t *testing.T) {
+	cfg, err := ParseConfig(strings.NewReader(`<adios-config><io name="wire"><engine type="stream">` +
+		`<parameter name="transport" value="tcp"/></engine></io></adios-config>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := evpath.NewNet(nil)
+	if err := net.ServeLoopback(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(net.CloseTCP)
+	runEngineRoundTrip(t, NewContext(net, directory.NewMem(), t.TempDir(), cfg), "wire")
+	if s := net.TCPStatsSnapshot(); s.Opens == 0 || s.MsgsTX == 0 {
+		t.Fatalf("transport=tcp moved nothing over the wire: %+v", s)
+	}
 }
 
 func TestEngineSwitchIsConfigOnly(t *testing.T) {

@@ -130,16 +130,17 @@ func (c *IOConfig) coreOptions() (core.Options, error) {
 			}
 			opts.AsyncQueueDepth = n
 		case "transport":
-			// "shm", "rdma", "chan", or "auto" — "auto" leaves the
+			// "shm", "tcp", "chan", or "auto" — "auto" leaves the
 			// decision to the placement function supplied at open time.
+			// "tcp" needs a Net that serves the wire.
 			switch strings.ToLower(v) {
 			case "shm":
 				opts.Transport = func(w, r int) (evpath.TransportKind, int, int) {
 					return evpath.ShmTransport, 0, 0
 				}
-			case "rdma":
+			case "tcp":
 				opts.Transport = func(w, r int) (evpath.TransportKind, int, int) {
-					return evpath.RDMATransport, w, (1 << 20) + r // distinct node space
+					return evpath.TCPTransport, 0, 0
 				}
 			case "chan", "auto":
 				// defaults

@@ -15,8 +15,6 @@ import (
 	"flexio/internal/dcplugin"
 	"flexio/internal/directory"
 	"flexio/internal/evpath"
-	"flexio/internal/machine"
-	"flexio/internal/rdma"
 )
 
 func TestGTSPipelineOverStream(t *testing.T) {
@@ -25,7 +23,7 @@ func TestGTSPipelineOverStream(t *testing.T) {
 		steps = 3
 		base  = 3000
 	)
-	net := evpath.NewNet(rdma.NewFabric(machine.Smoky(8).Net))
+	net := evpath.NewNet(nil)
 	ctx := adios.NewContext(net, directory.NewMem(), t.TempDir(), nil)
 	io, err := ctx.DeclareIO("particles")
 	if err != nil {
@@ -138,7 +136,7 @@ func TestGTSQueryPluginAtSourceMatchesLocalQuery(t *testing.T) {
 	// Deploy the velocity range query as a writer-side plug-in; the
 	// delivered subset must equal the local RangeQuery result.
 	const n = 4000
-	net := evpath.NewNet(rdma.NewFabric(machine.Smoky(4).Net))
+	net := evpath.NewNet(nil)
 	ctx := adios.NewContext(net, directory.NewMem(), t.TempDir(), nil)
 	io, err := ctx.DeclareIO("q")
 	if err != nil {

@@ -161,8 +161,8 @@ func (g *WriterGroup) applyPendingReconfig(boundary int64) error {
 	g.connMu.Unlock()
 
 	// New placement: derive per-pair transports from the node map the
-	// reader shipped (shm on-node, rdma across nodes), mirroring
-	// placement.TransportFor. Without nodes the existing map stays.
+	// reader shipped by evpath's one node -> transport rule. Without
+	// nodes the existing map stays.
 	if len(pr.nodes) > 0 {
 		nodes := pr.nodes
 		writerNode := g.opts.WriterNode
@@ -172,10 +172,7 @@ func (g *WriterGroup) applyPendingReconfig(boundary int64) error {
 				wn = writerNode(w)
 			}
 			rn := int(nodes[r])
-			if wn == rn {
-				return evpath.ShmTransport, wn, rn
-			}
-			return evpath.RDMATransport, wn, rn
+			return evpath.TransportBetween(wn, rn), wn, rn
 		}
 	}
 
@@ -566,7 +563,7 @@ func splitNames(s string) []string {
 
 // ReconfigSpec describes a mid-run re-placement of the reader group: a
 // new rank count, new per-rank selections, and optionally new node
-// placement (driving the shm-vs-rdma transport choice per writer-reader
+// placement (driving the shm-vs-tcp transport choice per writer-reader
 // pair on the next epoch).
 type ReconfigSpec struct {
 	// NReaders is the new rank count N'.
@@ -581,7 +578,8 @@ type ReconfigSpec struct {
 	PG [][]int
 	// Nodes optionally gives the node id of each new rank. When set, the
 	// writer re-derives every pair's transport (same node -> shm,
-	// different -> rdma) using Options.WriterNode for its own side.
+	// different -> tcp, so the Net must serve the wire) using
+	// Options.WriterNode for its own side.
 	Nodes []int
 }
 

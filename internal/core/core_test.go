@@ -11,10 +11,8 @@ import (
 	"flexio/internal/dcplugin"
 	"flexio/internal/directory"
 	"flexio/internal/evpath"
-	"flexio/internal/machine"
 	"flexio/internal/monitor"
 	"flexio/internal/ndarray"
-	"flexio/internal/rdma"
 )
 
 type harness struct {
@@ -22,11 +20,18 @@ type harness struct {
 	dir *directory.Mem
 }
 
-func newHarness() *harness {
-	return &harness{
-		net: evpath.NewNet(rdma.NewFabric(machine.Titan(8).Net)),
-		dir: directory.NewMem(),
+// newHarness returns one test's Net and directory. The Net serves a
+// loopback wire and resolves every contact to itself, so cross-node
+// (TCPTransport) pairs ride a real socket inside the test process; the
+// wire closes when the test ends.
+func newHarness(t testing.TB) *harness {
+	t.Helper()
+	net := evpath.NewNet(nil)
+	if err := net.ServeLoopback(); err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(net.CloseTCP)
+	return &harness{net: net, dir: directory.NewMem()}
 }
 
 // fillArray writes a recognizable pattern: element at global offset o has
@@ -65,7 +70,7 @@ func fillArrayBytes(box, global ndarray.Box) []byte {
 // groups because readers only see EOS after the writer group closes.
 func runMxNSplit(t *testing.T, nw, nr int, opts Options, steps int) (wmon, rmon monitor.Report) {
 	t.Helper()
-	h := newHarness()
+	h := newHarness(t)
 	shape := []int64{24, 24}
 	global := ndarray.BoxFromShape(shape)
 	wdec, _ := ndarray.BlockDecompose(shape, ndarray.FactorGrid(nw, 2))
@@ -148,6 +153,7 @@ func runMxNSplit(t *testing.T, nw, nr int, opts Options, steps int) (wmon, rmon 
 	}
 	readers.Wait()
 	rg.Close()
+	h.net.CloseTCP() // before return, so callers' leak checks see no wire
 	requirePayloadPoolDrained(t, wg)
 	return wm.Snapshot(), rm.Snapshot()
 }
@@ -196,23 +202,27 @@ func TestMxNShmTransport(t *testing.T) {
 	runMxNSplit(t, 3, 2, opts, 3)
 }
 
-func TestMxNRDMATransport(t *testing.T) {
+func TestMxNTCPTransport(t *testing.T) {
 	opts := Options{Transport: func(w, r int) (evpath.TransportKind, int, int) {
-		return evpath.RDMATransport, w % 4, 4 + r%4
+		return evpath.TCPTransport, w % 4, 4 + r%4
 	}}
-	runMxNSplit(t, 3, 2, opts, 3)
+	wmon, _ := runMxNSplit(t, 3, 2, opts, 3)
+	if got := wmon.Counts["conn.dial.tcp"]; got != 3*2 {
+		t.Fatalf("conn.dial.tcp = %d, want %d (every pair on the wire)", got, 3*2)
+	}
 }
 
 func TestMxNMixedTransports(t *testing.T) {
 	// Helper-core style: reader r co-located with writer w uses shm,
-	// others use RDMA.
+	// others cross the wire.
 	opts := Options{Transport: func(w, r int) (evpath.TransportKind, int, int) {
-		if w%2 == r%2 {
-			return evpath.ShmTransport, w % 4, w % 4
-		}
-		return evpath.RDMATransport, w % 4, 4 + r%4
+		wn, rn := w%2, r%2
+		return evpath.TransportBetween(wn, rn), wn, rn
 	}}
-	runMxNSplit(t, 4, 2, opts, 3)
+	wmon, _ := runMxNSplit(t, 4, 2, opts, 3)
+	if shm, tcp := wmon.Counts["conn.dial.shm"], wmon.Counts["conn.dial.tcp"]; shm != 4 || tcp != 4 {
+		t.Fatalf("dials shm=%d tcp=%d, want 4 of each", shm, tcp)
+	}
 }
 
 func TestCachingAllSkipsHandshakes(t *testing.T) {
@@ -231,7 +241,7 @@ func TestCachingAllSkipsHandshakes(t *testing.T) {
 
 func TestBatchingReducesMessages(t *testing.T) {
 	// With multiple variables per step, batching collapses data messages.
-	h := newHarness()
+	h := newHarness(t)
 	shape := []int64{16}
 	wdec, _ := ndarray.BlockDecompose(shape, []int{2})
 	const nvars = 5
@@ -292,7 +302,7 @@ func TestBatchingReducesMessages(t *testing.T) {
 }
 
 func TestScalarBroadcast(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	wg, err := NewWriterGroup(h.net, h.dir, "scalars", 2, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +358,7 @@ func TestScalarBroadcast(t *testing.T) {
 func TestProcessGroupPattern(t *testing.T) {
 	// GTS-style: each reader claims a disjoint set of writer ranks.
 	const nw, nr = 4, 2
-	h := newHarness()
+	h := newHarness(t)
 	wg, err := NewWriterGroup(h.net, h.dir, "pg", nw, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -410,7 +420,7 @@ func TestProcessGroupPattern(t *testing.T) {
 func TestReaderPluginFiltering(t *testing.T) {
 	// Install a sampling plug-in on the reader side and verify the
 	// delivered PG payload shrinks.
-	h := newHarness()
+	h := newHarness(t)
 	wg, err := NewWriterGroup(h.net, h.dir, "plug", 1, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -460,7 +470,7 @@ func TestReaderPluginFiltering(t *testing.T) {
 func TestWriterDistributionVisibleToReader(t *testing.T) {
 	_, _ = runMxNSplit(t, 4, 2, Options{}, 1)
 	// Covered implicitly; here verify the accessor on a fresh run.
-	h := newHarness()
+	h := newHarness(t)
 	shape := []int64{8}
 	wdec, _ := ndarray.BlockDecompose(shape, []int{2})
 	wg, _ := NewWriterGroup(h.net, h.dir, "dist", 2, Options{}, nil)
@@ -495,7 +505,7 @@ func TestWriterDistributionVisibleToReader(t *testing.T) {
 }
 
 func TestWriteErrors(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	wg, err := NewWriterGroup(h.net, h.dir, "errs", 1, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -527,7 +537,7 @@ func TestWriteErrors(t *testing.T) {
 }
 
 func TestReaderErrors(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	wg, _ := NewWriterGroup(h.net, h.dir, "rerrs", 1, Options{}, nil)
 	rg, err := NewReaderGroup(h.net, h.dir, "rerrs", 1, nil)
 	if err != nil {
@@ -548,7 +558,7 @@ func TestReaderErrors(t *testing.T) {
 }
 
 func TestReaderGroupUnknownStream(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	d := directory.NewMem()
 	// Short-circuit the 30s wait by registering then unregistering is not
 	// possible; instead use a never-registered name with a tiny custom
@@ -619,7 +629,7 @@ func TestMxNRandomizedProperty(t *testing.T) {
 				}
 			case 2:
 				opts.Transport = func(w, r int) (evpath.TransportKind, int, int) {
-					return evpath.RDMATransport, w % 4, 4 + r%4
+					return evpath.TCPTransport, w % 4, 4 + r%4
 				}
 			}
 			runMxNSplit(t, nw, nr, opts, steps)
@@ -628,7 +638,7 @@ func TestMxNRandomizedProperty(t *testing.T) {
 }
 
 func TestGroupConstructorValidation(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	if _, err := NewWriterGroup(h.net, h.dir, "zero", 0, Options{}, nil); err == nil {
 		t.Error("zero writers must fail")
 	}
@@ -640,7 +650,7 @@ func TestGroupConstructorValidation(t *testing.T) {
 func TestReaderStepStateReclaimed(t *testing.T) {
 	// Consumed steps must not accumulate in the reader group (buffer
 	// management: long-running streams would otherwise leak).
-	h := newHarness()
+	h := newHarness(t)
 	wg, err := NewWriterGroup(h.net, h.dir, "reclaim", 2, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)

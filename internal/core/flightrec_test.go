@@ -12,7 +12,7 @@ import (
 // causal parents, and the reader side lands accept/assemble events on
 // the same steps — the raw material for live critical-path analysis.
 func TestStreamJournalsCausalChain(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	j := flight.NewJournal(0)
 	shape := []int64{16, 16}
 	global := ndarray.BoxFromShape(shape)

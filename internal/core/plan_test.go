@@ -172,7 +172,7 @@ func TestMxNSequentialExecutor(t *testing.T) {
 func TestReadArrayReleaseReuse(t *testing.T) {
 	// ReleaseArray parks the assembly buffer for the next step: the pool
 	// must report reuses once the application returns buffers.
-	h := newHarness()
+	h := newHarness(t)
 	shape := []int64{16, 16}
 	global := ndarray.BoxFromShape(shape)
 	const steps = 4
@@ -270,7 +270,7 @@ func TestMxNLargeParallelUnpack(t *testing.T) {
 	// unpack path executes with real data (64×64 float64 quarters from 4
 	// writers = 128 KB per piece, 512 KB total per reader).
 	t.Run("big", func(t *testing.T) {
-		h := newHarness()
+		h := newHarness(t)
 		shape := []int64{256, 256}
 		global := ndarray.BoxFromShape(shape)
 		wdec, err := ndarray.BlockDecompose(shape, ndarray.FactorGrid(4, 2))

@@ -14,7 +14,7 @@ import (
 // returns the groups, pre-selected (the reader claims all writers).
 func startPGStream(t *testing.T, name string, nw int, wm *monitor.Monitor) (*WriterGroup, *ReaderGroup, *Reader) {
 	t.Helper()
-	h := newHarness()
+	h := newHarness(t)
 	wg, err := NewWriterGroup(h.net, h.dir, name, nw, Options{}, wm)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestMigratePluginToWriters(t *testing.T) {
 }
 
 func TestWriterPluginWithBatching(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	wg, err := NewWriterGroup(h.net, h.dir, "deploy-batch", 1, Options{Batching: true}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ func TestWriterPluginWithBatching(t *testing.T) {
 }
 
 func TestTransientFaultsRetried(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	var wrapped []evpath.Conn
 	var wrapMu sync.Mutex
 	wm := monitor.New("writers")
@@ -332,7 +332,7 @@ func TestTransientFaultsRetried(t *testing.T) {
 }
 
 func TestPermanentFaultSurfaces(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	opts := Options{
 		SendRetries: 2,
 		WrapConn: func(c evpath.Conn) evpath.Conn {

@@ -79,12 +79,12 @@ func readFieldSteps(t *testing.T, rd *Reader, global ndarray.Box, from, to int) 
 // TestMidRunPlacementSwitch is the issue's acceptance scenario: a 2-writer
 // stream feeds 2 readers for 3 steps, the reader group reconfigures to 3
 // ranks with a different decomposition AND a different node placement
-// (flipping at least one pair from shm to rdma), and 3 more steps flow.
+// (flipping at least one pair from shm to tcp), and 3 more steps flow.
 // Every step must be byte-identical to a never-reconfigured baseline and
 // exactly one reconfiguration must be recorded.
 func TestMidRunPlacementSwitch(t *testing.T) {
 	const nw, preSteps, postSteps = 2, 3, 3
-	h := newHarness()
+	h := newHarness(t)
 	shape := []int64{24, 24}
 	global := ndarray.BoxFromShape(shape)
 	wdec, _ := ndarray.BlockDecompose(shape, ndarray.FactorGrid(nw, 2))
@@ -141,7 +141,7 @@ func TestMidRunPlacementSwitch(t *testing.T) {
 	olds.Wait()
 
 	// Re-place: 3 ranks, new decomposition; rank 0 stays on the writers'
-	// node (shm), ranks 1-2 move to node 1 (rdma) — the shm->rdma flip.
+	// node (shm), ranks 1-2 move to node 1 (tcp) — the shm->tcp flip.
 	err = rg.Reconfigure(ReconfigSpec{
 		NReaders: 3,
 		Arrays:   map[string][]ndarray.Box{"field": newDec.Boxes},
@@ -193,12 +193,12 @@ func TestMidRunPlacementSwitch(t *testing.T) {
 		t.Errorf("reconfig.drain_ns not recorded")
 	}
 	// Epoch 1 dialed 2x2 pairs over shm; epoch 2 dialed 2x3 pairs of which
-	// rank 0's are shm and ranks 1-2's are rdma.
+	// rank 0's are shm and ranks 1-2's are tcp.
 	if got := ws.Counts["conn.dial.shm"]; got != 6 {
 		t.Errorf("conn.dial.shm = %d, want 6", got)
 	}
-	if got := ws.Counts["conn.dial.rdma"]; got != 4 {
-		t.Errorf("conn.dial.rdma = %d, want 4", got)
+	if got := ws.Counts["conn.dial.tcp"]; got != 4 {
+		t.Errorf("conn.dial.tcp = %d, want 4", got)
 	}
 }
 
@@ -209,7 +209,7 @@ func TestMidRunPlacementSwitch(t *testing.T) {
 // along to cover non-array replay.
 func TestReconfigReplaysInFlightSteps(t *testing.T) {
 	const nw = 2
-	h := newHarness()
+	h := newHarness(t)
 	shape := []int64{24, 24}
 	global := ndarray.BoxFromShape(shape)
 	wdec, _ := ndarray.BlockDecompose(shape, ndarray.FactorGrid(nw, 2))
@@ -354,7 +354,7 @@ func TestReconfigSelectionChangeAllCachingLevels(t *testing.T) {
 		level := level
 		t.Run(level.String(), func(t *testing.T) {
 			const nw, preSteps, postSteps = 3, 3, 3
-			h := newHarness()
+			h := newHarness(t)
 			shape := []int64{24, 24}
 			global := ndarray.BoxFromShape(shape)
 			wdec, _ := ndarray.BlockDecompose(shape, ndarray.FactorGrid(nw, 2))
@@ -431,7 +431,7 @@ func TestReconfigSelectionChangeAllCachingLevels(t *testing.T) {
 // concurrency check on the quiesce path.
 func TestReconfigConcurrentWithAsync(t *testing.T) {
 	const nw, preSteps, postSteps = 2, 4, 4
-	h := newHarness()
+	h := newHarness(t)
 	shape := []int64{24, 24}
 	global := ndarray.BoxFromShape(shape)
 	wdec, _ := ndarray.BlockDecompose(shape, ndarray.FactorGrid(nw, 2))
@@ -510,7 +510,7 @@ func TestReconfigConcurrentWithAsync(t *testing.T) {
 // assembly must stay byte-identical.
 func TestWriterBoxChangeCachingAll(t *testing.T) {
 	const nw, flipAt, steps = 2, 3, 6
-	h := newHarness()
+	h := newHarness(t)
 	shape := []int64{24, 24}
 	global := ndarray.BoxFromShape(shape)
 	decA, _ := ndarray.BlockDecompose(shape, []int{2, 1})
@@ -565,7 +565,7 @@ func TestWriterBoxChangeCachingAll(t *testing.T) {
 
 // TestReconfigValidation exercises the request guards.
 func TestReconfigValidation(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	wgp, _ := NewWriterGroup(h.net, h.dir, "reval", 1, Options{}, nil)
 	rg, err := NewReaderGroup(h.net, h.dir, "reval", 1, nil)
 	if err != nil {

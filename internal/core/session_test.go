@@ -122,7 +122,7 @@ func TestDataContactNames(t *testing.T) {
 func TestReaderCloseMidStreamNotifiesWriter(t *testing.T) {
 	base := runtime.NumGoroutine()
 
-	h := newHarness()
+	h := newHarness(t)
 	shape := []int64{16, 16}
 	global := ndarray.BoxFromShape(shape)
 	wdec, _ := ndarray.BlockDecompose(shape, ndarray.FactorGrid(2, 2))
@@ -183,6 +183,7 @@ func TestReaderCloseMidStreamNotifiesWriter(t *testing.T) {
 	if st := wgp.SessionState(); st != StateClosed {
 		t.Errorf("writer session after Close = %v, want closed", st)
 	}
+	h.net.CloseTCP()
 
 	// No goroutine leak: pumps, accept loops and workers must all exit.
 	deadline := time.Now().Add(5 * time.Second)

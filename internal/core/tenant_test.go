@@ -80,7 +80,7 @@ func runTenantStream(t *testing.T, h *harness, tenant, stream string, opts Optio
 // Two tenants run identically-named streams over one shared directory
 // and network without crosstalk.
 func TestTenantsSameStreamNameIsolated(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	defer h.dir.Close()
 	var wg sync.WaitGroup
 	for _, tenant := range []string{"climate-a", "climate-b", "fusion-c"} {
@@ -100,7 +100,7 @@ func TestTenantsSameStreamNameIsolated(t *testing.T) {
 // A writer group over its rank quota is rejected at construction; same
 // for readers, and for a Reconfigure growing past MaxRanks.
 func TestTenantMaxRanks(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	defer h.dir.Close()
 	_, err := NewWriterGroup(h.net, h.dir, "s", 4, Options{Tenant: "t", Quota: TenantQuota{MaxRanks: 2}}, nil)
 	if !errors.Is(err, ErrOverQuota) {
@@ -123,7 +123,7 @@ func TestTenantMaxRanks(t *testing.T) {
 // credit window: backpressure waits are recorded, every step still
 // arrives intact, and the window drains to zero at the end.
 func TestTenantStagedBytesBackpressure(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	defer h.dir.Close()
 	const steps = 12
 	shape := []int64{32, 32}
@@ -207,7 +207,7 @@ func TestTenantStagedBytesBackpressure(t *testing.T) {
 // A single step larger than the whole staged-bytes budget is admitted via
 // the overdraft rule instead of deadlocking.
 func TestTenantOversizedStepOverdraft(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	defer h.dir.Close()
 	shape := []int64{16, 16}
 	global := ndarray.BoxFromShape(shape)
@@ -293,7 +293,7 @@ func TestTenantCreditWindowUnblocksOnClose(t *testing.T) {
 // Scalar sanity under the tenant namespace: rank-0 broadcast still
 // reaches readers when the stream is tenant-qualified.
 func TestTenantScalarRoundTrip(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	defer h.dir.Close()
 	opts := Options{Tenant: "scalar-t"}
 	wg, err := NewWriterGroup(h.net, h.dir, "sc", 1, opts, nil)

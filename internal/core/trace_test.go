@@ -22,7 +22,7 @@ import (
 func runTracedStream(t *testing.T, stream string, wm, rm *monitor.Monitor, j *flight.Journal) {
 	t.Helper()
 	const nw, nr, steps = 2, 2, 3
-	h := newHarness()
+	h := newHarness(t)
 	shape := []int64{16, 16}
 	global := ndarray.BoxFromShape(shape)
 	wdec, _ := ndarray.BlockDecompose(shape, ndarray.FactorGrid(nw, 2))
@@ -260,7 +260,7 @@ func TestShippedReportOmitsSpans(t *testing.T) {
 // reader-side copy of the writer's shipped monitoring report.
 func runTracePair(t *testing.T, wm *monitor.Monitor) (monitor.Report, func() (monitor.Report, int64, bool)) {
 	t.Helper()
-	h := newHarness()
+	h := newHarness(t)
 	shape := []int64{8}
 	wdec, _ := ndarray.BlockDecompose(shape, []int{1})
 	global := ndarray.BoxFromShape(shape)

@@ -14,9 +14,9 @@
 //     writes — the paper's three protocol optimizations,
 //   - per-rank performance monitoring hooks.
 //
-// Ranks are goroutines within one process; every byte still travels
-// through evpath connections backed by the shm or rdma transports, so the
-// full protocol machinery is exercised for real.
+// Ranks are goroutines within one process or spread over processes;
+// every byte still travels through evpath connections (shm on-node, tcp
+// across nodes), so the full protocol machinery is exercised for real.
 package core
 
 import (
@@ -140,13 +140,16 @@ type Options struct {
 	// matching a double-buffering discipline).
 	AsyncQueueDepth int
 	// Transport maps a (writerRank, readerRank) pair to the transport
-	// kind and the two node ids — this is where placement decisions
-	// materialize. Nil means ChanTransport for all pairs.
+	// kind — this is where placement decisions materialize. The two node
+	// ids it also returns are unused. Nil means ChanTransport for all
+	// pairs. A TCPTransport pair needs the Net to serve the wire (a
+	// single process uses Net.ServeLoopback).
 	Transport func(w, r int) (evpath.TransportKind, int, int)
 	// WriterNode maps a writer rank to its node id. It is consulted when a
 	// Reconfigure carries new reader node placements: pairs on the same
-	// node get the shm transport, cross-node pairs get rdma. Nil keeps the
-	// chan transport for all re-placed pairs.
+	// node get the shm transport, cross-node pairs get tcp
+	// (evpath.TransportBetween). Nil keeps the chan transport for all
+	// re-placed pairs.
 	WriterNode func(w int) int
 	// WrapConn, if set, wraps every data connection after dialing (used
 	// for fault injection and instrumentation).

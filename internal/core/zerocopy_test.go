@@ -22,7 +22,7 @@ import (
 func runShmRedist(t *testing.T, noZC bool, steps int) (wrep, shmRep monitor.Report, evs []flight.Event) {
 	t.Helper()
 	const nw, nr = 4, 2
-	h := newHarness()
+	h := newHarness(t)
 	j := flight.NewJournal(0)
 	h.net.SetJournal(j)
 	shape := []int64{64, 64}

@@ -10,7 +10,7 @@ import (
 
 // TestGTSSwitchHelperCoreToStaging scripts the paper's motivating
 // flexibility scenario as a mid-run switch: GTS analytics starts on
-// helper cores (shm transport) and moves to staging nodes (rdma) at the
+// helper cores (shm transport) and moves to staging nodes (tcp) at the
 // half-way step boundary, paying a modeled reconfiguration cost.
 func TestGTSSwitchHelperCoreToStaging(t *testing.T) {
 	m := machine.Smoky(2)
@@ -52,7 +52,7 @@ func TestGTSSwitchHelperCoreToStaging(t *testing.T) {
 	if len(out.Delta.MovedAna) != 8 {
 		t.Errorf("moved %d ranks, want 8", len(out.Delta.MovedAna))
 	}
-	// Every surviving pair flips shm -> rdma.
+	// Every surviving pair flips shm -> tcp.
 	if len(out.Delta.Flipped) != 64 {
 		t.Errorf("flipped %d pairs, want 64", len(out.Delta.Flipped))
 	}

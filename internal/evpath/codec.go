@@ -3,8 +3,8 @@
 // paper): data marshaling for typed messages (EVPath uses FFS; here a
 // compact self-describing binary codec), point-to-point connections over
 // pluggable transports (in-process channels, the shared-memory transport
-// of internal/shm, the RDMA transport of internal/rdma, and framed TCP/TLS
-// sockets), and the event type whose filter functions host mobile data
+// of internal/shm for on-node peers, and framed TCP/TLS sockets across
+// nodes), and the event type whose filter functions host mobile data
 // conditioning plug-ins.
 package evpath
 

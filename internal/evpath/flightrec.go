@@ -5,19 +5,18 @@ import (
 
 	"flexio/internal/flight"
 	"flexio/internal/monitor"
-	"flexio/internal/rdma"
 	"flexio/internal/shm"
 )
 
 // Flight-recorder and gauge plumbing for the connection manager: the Net
 // is where shm channel pairs are born (they are private to their conns),
 // so attaching a journal or harvesting queue/pool gauges has to happen
-// here. RDMA-side wiring just forwards to the owned fabric.
+// here.
 
 // SetJournal attaches a flight recorder to the net's transports: the
-// RDMA fabric journals its verbs, and every shm channel dialed from now
-// on journals its queue crossings. A nil journal detaches future dials
-// (already-dialed channels keep their recorder).
+// wire transport journals its frames, and every shm channel dialed from
+// now on journals its queue crossings. A nil journal detaches future
+// dials (already-dialed channels keep their recorder).
 func (n *Net) SetJournal(j *flight.Journal) {
 	n.mu.Lock()
 	n.journal = j
@@ -26,14 +25,7 @@ func (n *Net) SetJournal(j *flight.Journal) {
 	if st != nil {
 		st.journal.Store(j)
 	}
-	if n.fabric != nil {
-		n.fabric.SetJournal(j)
-	}
 }
-
-// Fabric exposes the owned RDMA fabric (nil when the net was created
-// without one) for gauge harvesting via rdma.Fabric.ReportTo.
-func (n *Net) Fabric() *rdma.Fabric { return n.fabric }
 
 // trackShmConn registers a freshly dialed shm pair for journaling and
 // gauge harvesting.

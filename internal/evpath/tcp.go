@@ -143,15 +143,15 @@ var (
 )
 
 // tcpState is the per-Net wire-transport state, created lazily by the
-// first ServeTCP/SetResolver/ConfigureTCP/InjectTCPFaults call.
+// first ServeTCP/SetResolver/InjectTCPFaults call.
 type tcpState struct {
 	net      *Net
 	dialerID uint64
+	cfg      TCPConfig // the Net's tunables, fixed at creation
 	nextChan atomic.Uint64
 	journal  atomic.Pointer[flight.Journal]
 
 	mu        sync.Mutex
-	cfg       TCPConfig
 	closed    bool
 	advertise string
 	servers   []net.Listener
@@ -189,7 +189,7 @@ func newTCPState(n *Net) *tcpState {
 	return &tcpState{
 		net:      n,
 		dialerID: binary.BigEndian.Uint64(idb[:]),
-		cfg:      TCPConfig{}.withDefaults(),
+		cfg:      n.tcpCfg,
 		links:    make(map[string]*tcpLink),
 		allLinks: make(map[*tcpLink]struct{}),
 		dialing:  make(map[string]chan struct{}),
@@ -248,6 +248,19 @@ func (n *Net) ServeTCP(bind string, tlsCfg *tls.Config) (string, error) {
 	return adv, nil
 }
 
+// ServeLoopback serves the wire transport on an ephemeral loopback port
+// and resolves every contact to that address, so tcp-kind dials between
+// groups of one process cross a real socket pair (the in-process stand-in
+// for an inter-node link). CloseTCP stops it.
+func (n *Net) ServeLoopback() error {
+	addr, err := n.ServeTCP("127.0.0.1:0", nil)
+	if err != nil {
+		return err
+	}
+	n.SetResolver(func(string) (string, error) { return addr, nil })
+	return nil
+}
+
 // SetResolver installs the contact → wire-address lookup used when a
 // dialed contact has no local listener (normally a directory WaitLookup).
 func (n *Net) SetResolver(r func(contact string) (string, error)) {
@@ -273,15 +286,6 @@ func (n *Net) SetClientTLS(f func(addr string) *tls.Config) {
 	st := n.tcpInit()
 	st.mu.Lock()
 	st.clientTLS = f
-	st.mu.Unlock()
-}
-
-// ConfigureTCP replaces the transport tunables (zero fields select
-// defaults). Affects links dialed and channels opened from now on.
-func (n *Net) ConfigureTCP(cfg TCPConfig) {
-	st := n.tcpInit()
-	st.mu.Lock()
-	st.cfg = cfg.withDefaults()
 	st.mu.Unlock()
 }
 
@@ -391,13 +395,7 @@ func (st *tcpState) isClosed() bool {
 	return st.closed
 }
 
-func (st *tcpState) config() TCPConfig {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.cfg
-}
-
-func (st *tcpState) maxFrame() int { return st.config().MaxFrame }
+func (st *tcpState) maxFrame() int { return st.cfg.MaxFrame }
 
 func (st *tcpState) record(kind flight.Kind, point, channel string, bytes int) {
 	j := st.journal.Load()
@@ -744,7 +742,7 @@ func (st *tcpState) handleFrame(l *tcpLink, f frame) {
 // listener's accept queue.
 func (st *tcpState) handleOpen(l *tcpLink, key chanKey, payload []byte) {
 	contact := string(payload)
-	lst := st.net.waitListener(contact, st.config().AcceptWait)
+	lst := st.net.waitListener(contact, st.cfg.AcceptWait)
 	if lst == nil {
 		l.sendFrame(opReject, key, []byte("no listener for "+contact)) //nolint:errcheck
 		return
@@ -794,7 +792,7 @@ func (st *tcpState) handleResume(l *tcpLink, key chanKey) {
 	st.mu.Lock()
 	ch := st.accepted[key]
 	st.mu.Unlock()
-	if ch == nil || ch.terminal() || !ch.waitDetached(st.config().OpenTimeout) {
+	if ch == nil || ch.terminal() || !ch.waitDetached(st.cfg.OpenTimeout) {
 		l.sendFrame(opResumeFail, key, nil) //nolint:errcheck
 		return
 	}
@@ -855,7 +853,7 @@ func (n *Net) dialTCP(contact string) (Conn, error) {
 			link.remove(key)
 			return nil, err
 		}
-	case <-time.After(st.config().OpenTimeout):
+	case <-time.After(st.cfg.OpenTimeout):
 		ch.signalEOF(errors.New("evpath: open handshake timeout"))
 		link.remove(key)
 		return nil, fmt.Errorf("evpath: open %q: handshake timeout", contact)
@@ -910,7 +908,7 @@ func (st *tcpState) dialLink(addr string) (*tcpLink, error) {
 	if st.takeDialFault() {
 		return nil, fmt.Errorf("injected dial failure for %s: %w", addr, ErrTransient)
 	}
-	cfg := st.config()
+	cfg := st.cfg
 	host := addr
 	useTLS := false
 	switch {
@@ -970,7 +968,7 @@ func (st *tcpState) resumeChans(failed *tcpLink, chans []*tcpChan) {
 			ch.clearResuming()
 		}
 	}()
-	cfg := st.config()
+	cfg := st.cfg
 	addr := failed.addr
 	// Let the failed link finish draining inbound frames before resuming
 	// anywhere else, so old-link and new-link deliveries cannot reorder.
@@ -1034,7 +1032,7 @@ func (st *tcpState) resumeOne(link *tcpLink, ch *tcpChan) error {
 	select {
 	case err := <-p:
 		return err
-	case <-time.After(st.config().OpenTimeout):
+	case <-time.After(st.cfg.OpenTimeout):
 		return errors.New("evpath: resume handshake timeout")
 	}
 }
@@ -1070,7 +1068,7 @@ type tcpChan struct {
 func (st *tcpState) newChan(key chanKey, contact string, dialer bool, addr string) *tcpChan {
 	c := &tcpChan{
 		st: st, key: key, contact: contact, dialer: dialer, addr: addr,
-		inbox: make(chan *rxLease, st.config().InboxDepth),
+		inbox: make(chan *rxLease, st.cfg.InboxDepth),
 		eof:   make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -1107,7 +1105,7 @@ func (c *tcpChan) detach(from *tcpLink) {
 	if !armTimer {
 		return
 	}
-	d := c.st.config().ResumeTimeout
+	d := c.st.cfg.ResumeTimeout
 	t := time.AfterFunc(d, func() {
 		c.signalEOF(fmt.Errorf("evpath: channel %s: peer did not resume within %v", c.contact, d))
 		c.st.forgetChan(c, nil)

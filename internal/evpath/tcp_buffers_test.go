@@ -194,7 +194,7 @@ func TestTCPRedialLargeMessages(t *testing.T) {
 			if scheme == "tls" {
 				srvCfg, cliCfg = selfSignedTLS(t)
 			}
-			client, _, a, b := tcpPairTLS(t, "big."+scheme+".e1.r0", srvCfg, cliCfg)
+			client, _, a, b := tcpPairTLS(t, "big."+scheme+".e1.r0", srvCfg, cliCfg, nil)
 			client.InjectTCPFaults(TCPFaults{DropAfterSends: 4})
 
 			const total, size = 9, 1 << 20

@@ -13,6 +13,7 @@ import (
 	"io"
 	"math/big"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -28,11 +29,12 @@ import (
 // channel. Cleanup tears both transports down.
 func tcpPair(t *testing.T, contact string) (client, server *Net, dialer Conn, accepted Conn) {
 	t.Helper()
-	return tcpPairTLS(t, contact, nil, nil)
+	return tcpPairTLS(t, contact, nil, nil, nil)
 }
 
-// tcpPairTLS is tcpPair over a TLS link when the two configs are non-nil.
-func tcpPairTLS(t *testing.T, contact string, srvCfg, cliCfg *tls.Config) (client, server *Net, dialer Conn, accepted Conn) {
+// tcpPairTLS is tcpPair over a TLS link when the two configs are non-nil,
+// with the client Net tuned by cliTCP (nil for defaults).
+func tcpPairTLS(t *testing.T, contact string, srvCfg, cliCfg *tls.Config, cliTCP *TCPConfig) (client, server *Net, dialer Conn, accepted Conn) {
 	t.Helper()
 	server = NewNet(nil)
 	adv, err := server.ServeTCP("127.0.0.1:0", srvCfg)
@@ -43,7 +45,7 @@ func tcpPairTLS(t *testing.T, contact string, srvCfg, cliCfg *tls.Config) (clien
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	client = NewNet(nil)
+	client = NewNet(cliTCP)
 	client.SetResolver(func(string) (string, error) { return adv, nil })
 	if cliCfg != nil {
 		client.SetClientTLS(func(string) *tls.Config { return cliCfg })
@@ -224,12 +226,75 @@ func TestFramePartialReads(t *testing.T) {
 	}
 }
 
+// TestTCPSelfDial is the property every in-process cross-node pair rests
+// on: one Net serving loopback and resolving to itself dials its own
+// contact over a real socket pair, a message crosses each way, and
+// CloseTCP leaves no goroutine behind.
+func TestTCPSelfDial(t *testing.T) {
+	base := runtime.NumGoroutine()
+	n := NewNet(nil)
+	if err := n.ServeLoopback(); err != nil {
+		t.Fatalf("ServeLoopback: %v", err)
+	}
+	lst, err := n.Listen("self.e1.r0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	got := make(chan Conn, 1)
+	go func() {
+		if c, ok := lst.Accept(); ok {
+			got <- c
+		}
+	}()
+	a, err := n.Dial("self.e1.r0", TCPTransport, 0, 1)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	var b Conn
+	select {
+	case b = <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("accept timed out")
+	}
+	if a.Transport() != "tcp" || b.Transport() != "tcp" {
+		t.Fatalf("transports %q/%q, want tcp", a.Transport(), b.Transport())
+	}
+	for _, hop := range []struct {
+		from, to Conn
+		msg      string
+	}{{a, b, "ping"}, {b, a, "pong"}} {
+		if err := hop.from.Send([]byte(hop.msg)); err != nil {
+			t.Fatalf("send %s: %v", hop.msg, err)
+		}
+		m, err := hop.to.Recv()
+		if err != nil || string(m) != hop.msg {
+			t.Fatalf("recv = %q, %v; want %q", m, err, hop.msg)
+		}
+	}
+	if s := n.TCPStatsSnapshot(); s.Dials != 1 || s.Accepts != 1 {
+		t.Fatalf("dials=%d accepts=%d, want one socket pair", s.Dials, s.Accepts)
+	}
+
+	a.Close()
+	b.Close()
+	lst.Close()
+	n.CloseTCP()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines leaked: %d > base %d\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestTCPOversizedFrame checks both directions of the size limit: the
 // send path refuses locally, and a hostile peer announcing an oversized
 // frame gets hung up on.
 func TestTCPOversizedFrame(t *testing.T) {
-	server := NewNet(nil)
-	server.ConfigureTCP(TCPConfig{MaxFrame: 1 << 10})
+	server := NewNet(&TCPConfig{MaxFrame: 1 << 10})
 	adv, err := server.ServeTCP("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatalf("ServeTCP: %v", err)
@@ -237,8 +302,7 @@ func TestTCPOversizedFrame(t *testing.T) {
 	if _, err := server.Listen("small.e1.r0"); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	client := NewNet(nil)
-	client.ConfigureTCP(TCPConfig{MaxFrame: 1 << 10})
+	client := NewNet(&TCPConfig{MaxFrame: 1 << 10})
 	client.SetResolver(func(string) (string, error) { return adv, nil })
 	t.Cleanup(func() { client.CloseTCP(); server.CloseTCP() })
 
@@ -277,8 +341,8 @@ func TestTCPOversizedFrame(t *testing.T) {
 // through its backoff ladder, and every message must still arrive
 // exactly once, in order. Run under -race in `make ci`.
 func TestTCPRedialBackoff(t *testing.T) {
-	client, _, a, b := tcpPair(t, "flaky.e1.r0")
-	client.ConfigureTCP(TCPConfig{RedialBase: 5 * time.Millisecond, RedialMax: 50 * time.Millisecond})
+	client, _, a, b := tcpPairTLS(t, "flaky.e1.r0", nil, nil,
+		&TCPConfig{RedialBase: 5 * time.Millisecond, RedialMax: 50 * time.Millisecond})
 	client.InjectTCPFaults(TCPFaults{
 		DropAfterSends: 3, // cut the link under the 3rd data send
 		FailDials:      2, // then refuse the first two redials

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"flexio/internal/flight"
-	"flexio/internal/rdma"
 	"flexio/internal/shm"
 )
 
@@ -24,22 +23,30 @@ type Conn interface {
 	Recv() ([]byte, error)
 	// Close shuts the connection down in both directions.
 	Close() error
-	// Transport names the backing transport ("chan", "shm", "rdma").
+	// Transport names the backing transport ("chan", "shm", "tcp").
 	Transport() string
 }
 
 // TransportKind selects a connection's transport at Dial time. FlexIO's
-// runtime picks ShmTransport for on-node peers and RDMATransport across
-// nodes ("intra- vs inter-node transports are automatically configured
-// according to the placements").
+// runtime picks ShmTransport for on-node peers and TCPTransport across
+// nodes (see TransportBetween: "intra- vs inter-node transports are
+// automatically configured according to the placements").
 type TransportKind int
 
 const (
 	ChanTransport TransportKind = iota // in-process Go channels (loopback)
 	ShmTransport                       // FastForward queues + buffer pool
-	RDMATransport                      // NNTI-style verbs + registration cache
 	TCPTransport                       // length-prefixed frames over TCP/TLS sockets
 )
+
+// TransportBetween is the one node -> transport rule: peers on the same
+// node share memory, peers on different nodes cross the wire.
+func TransportBetween(nodeA, nodeB int) TransportKind {
+	if nodeA == nodeB {
+		return ShmTransport
+	}
+	return TCPTransport
+}
 
 func (k TransportKind) String() string {
 	switch k {
@@ -47,8 +54,6 @@ func (k TransportKind) String() string {
 		return "chan"
 	case ShmTransport:
 		return "shm"
-	case RDMATransport:
-		return "rdma"
 	case TCPTransport:
 		return "tcp"
 	}
@@ -80,24 +85,27 @@ type HandleConn interface {
 }
 
 // Net is the in-process connection manager: listeners register by contact
-// name, dialers connect by name and transport kind. It owns the RDMA
-// fabric used by RDMA-kind connections.
+// name, dialers connect by name and transport kind.
 type Net struct {
-	fabric *rdma.Fabric
+	tcpCfg TCPConfig // wire-transport tunables, fixed at NewNet
 
 	mu         sync.Mutex
 	listeners  map[string]*Listener
 	listenCond *sync.Cond // broadcast on Listen; lazily created by waiters
-	nextConn   int64
 	journal    *flight.Journal
 	shmChans   []*shm.Channel
 	tcp        *tcpState // wire transport; nil until first TCP use
 }
 
-// NewNet creates a connection manager. fabric may be nil if RDMA
-// transports are never dialed.
-func NewNet(fabric *rdma.Fabric) *Net {
-	return &Net{fabric: fabric, listeners: make(map[string]*Listener)}
+// NewNet creates a connection manager. cfg tunes the wire transport;
+// nil (or zero fields) selects the defaults.
+func NewNet(cfg *TCPConfig) *Net {
+	n := &Net{listeners: make(map[string]*Listener)}
+	if cfg != nil {
+		n.tcpCfg = *cfg
+	}
+	n.tcpCfg = n.tcpCfg.withDefaults()
+	return n
 }
 
 // Listener accepts incoming connections for one contact name.
@@ -188,8 +196,8 @@ func (l *Listener) Close() {
 
 // Dial connects to a listening name over the given transport. The
 // dialer-side Conn is returned; the listener receives the peer Conn via
-// Accept. nodeA/nodeB identify the caller's and listener's nodes for the
-// RDMA cost model (ignored by other transports).
+// Accept. nodeA/nodeB are unused; they remain so existing callers that
+// pass a placement's node ids keep compiling.
 //
 // The requested kind is a local-placement hint: TCPTransport always goes
 // over the wire, and any kind falls through to the wire when no local
@@ -210,8 +218,6 @@ func (n *Net) Dial(name string, kind TransportKind, nodeA, nodeB int) (Conn, err
 		}
 		return nil, fmt.Errorf("%w: %q", ErrPeerUnknown, name)
 	}
-	id := n.nextConn
-	n.nextConn++
 	n.mu.Unlock()
 
 	var a, b Conn
@@ -221,8 +227,6 @@ func (n *Net) Dial(name string, kind TransportKind, nodeA, nodeB int) (Conn, err
 		a, b = newChanPair()
 	case ShmTransport:
 		a, b, err = newShmPair()
-	case RDMATransport:
-		a, b, err = newRDMAPair(n.fabric, id, nodeA, nodeB)
 	default:
 		err = fmt.Errorf("evpath: unknown transport %v", kind)
 	}
@@ -368,230 +372,3 @@ func (c *shmConn) Close() error {
 }
 
 func (c *shmConn) Transport() string { return "shm" }
-
-// ---------------------------------------------------------------------
-// rdma transport: small messages through the paired message queues, large
-// payloads via registration-cached buffers + receiver-directed Get + ack.
-
-const (
-	rdmaInlineMax = 1024
-	frInline      = 0 // frame kinds on the data message queue
-	frLarge       = 1
-)
-
-type rdmaConn struct {
-	dataEP *rdma.Endpoint // receives data/control frames from the peer
-	ackEP  *rdma.Endpoint // receives buffer-release acks for our sends
-	peer   *rdma.Endpoint // peer's data endpoint
-	prAck  *rdma.Endpoint // peer's ack endpoint
-
-	cache *rdma.RegCache
-	sched *rdma.GetScheduler
-
-	mu          sync.Mutex
-	outstanding map[rdma.Handle]*rdma.MemRegion
-	closed      atomic.Bool
-	fabric      *rdma.Fabric
-}
-
-func newRDMAPair(f *rdma.Fabric, id int64, nodeA, nodeB int) (Conn, Conn, error) {
-	if f == nil {
-		return nil, nil, errors.New("evpath: RDMA transport requires a fabric")
-	}
-	mk := func(side string, node int) (*rdma.Endpoint, *rdma.Endpoint, error) {
-		data, err := f.Attach(fmt.Sprintf("evp%d-%s-data", id, side), node)
-		if err != nil {
-			return nil, nil, err
-		}
-		ack, err := f.Attach(fmt.Sprintf("evp%d-%s-ack", id, side), node)
-		if err != nil {
-			f.Detach(data)
-			return nil, nil, err
-		}
-		return data, ack, nil
-	}
-	aData, aAck, err := mk("a", nodeA)
-	if err != nil {
-		return nil, nil, err
-	}
-	bData, bAck, err := mk("b", nodeB)
-	if err != nil {
-		f.Detach(aData)
-		f.Detach(aAck)
-		return nil, nil, err
-	}
-	a := &rdmaConn{
-		dataEP: aData, ackEP: aAck, peer: bData, prAck: bAck,
-		cache: rdma.NewRegCache(aData, 512<<20), sched: rdma.NewGetScheduler(4, 0),
-		outstanding: make(map[rdma.Handle]*rdma.MemRegion), fabric: f,
-	}
-	b := &rdmaConn{
-		dataEP: bData, ackEP: bAck, peer: aData, prAck: aAck,
-		cache: rdma.NewRegCache(bData, 512<<20), sched: rdma.NewGetScheduler(4, 0),
-		outstanding: make(map[rdma.Handle]*rdma.MemRegion), fabric: f,
-	}
-	return a, b, nil
-}
-
-// sendMsgBlocking retries SendMsg under queue-full backpressure.
-func (c *rdmaConn) sendMsgBlocking(to *rdma.Endpoint, frame []byte) error {
-	for {
-		if c.closed.Load() {
-			return io.ErrClosedPipe
-		}
-		_, err := c.dataEP.SendMsg(to, frame)
-		switch {
-		case err == nil:
-			return nil
-		case errors.Is(err, rdma.ErrQueueFull):
-			c.drainAcks()
-			time.Sleep(10 * time.Microsecond)
-		case errors.Is(err, rdma.ErrClosed):
-			return io.ErrClosedPipe
-		default:
-			return err
-		}
-	}
-}
-
-// drainAcks releases send buffers whose payload the peer has fetched.
-func (c *rdmaConn) drainAcks() {
-	for {
-		msg, ok := c.ackEP.TryRecvMsg()
-		if !ok {
-			return
-		}
-		if len(msg) < 9 {
-			continue
-		}
-		h := rdma.Handle(leUint64(msg[1:]))
-		c.mu.Lock()
-		reg := c.outstanding[h]
-		delete(c.outstanding, h)
-		c.mu.Unlock()
-		if reg != nil {
-			c.cache.Release(reg)
-		}
-	}
-}
-
-func (c *rdmaConn) Send(msg []byte) error {
-	if c.closed.Load() {
-		return io.ErrClosedPipe
-	}
-	c.drainAcks()
-	if len(msg) <= rdmaInlineMax {
-		frame := make([]byte, 1+len(msg))
-		frame[0] = frInline
-		copy(frame[1:], msg)
-		return c.sendMsgBlocking(c.peer, frame)
-	}
-	// Large path: copy into a cached registered buffer, publish a control
-	// message carrying {handle, size}; the peer Gets and acks.
-	reg, _, err := c.cache.Acquire(len(msg))
-	if err != nil {
-		return err
-	}
-	copy(reg.Bytes()[:len(msg)], msg)
-	c.mu.Lock()
-	c.outstanding[reg.Handle()] = reg
-	c.mu.Unlock()
-	frame := make([]byte, 1+16)
-	frame[0] = frLarge
-	putUint64(frame[1:], uint64(reg.Handle()))
-	putUint64(frame[9:], uint64(len(msg)))
-	if err := c.sendMsgBlocking(c.peer, frame); err != nil {
-		c.mu.Lock()
-		delete(c.outstanding, reg.Handle())
-		c.mu.Unlock()
-		c.cache.Release(reg)
-		return err
-	}
-	return nil
-}
-
-func (c *rdmaConn) Recv() ([]byte, error) {
-	for {
-		frame, ok := c.dataEP.RecvMsg()
-		if !ok {
-			return nil, io.EOF
-		}
-		if len(frame) < 1 {
-			continue
-		}
-		switch frame[0] {
-		case frInline:
-			return frame[1:], nil
-		case frLarge:
-			if len(frame) < 17 {
-				return nil, ErrCorrupt
-			}
-			h := rdma.Handle(leUint64(frame[1:]))
-			size := int(leUint64(frame[9:]))
-			local, _, err := c.cache.Acquire(size)
-			if err != nil {
-				return nil, err
-			}
-			_, err = c.sched.FetchAll(c.dataEP, []rdma.GetDesc{{
-				Remote: h, RemoteOff: 0, Local: local, LocalOff: 0, N: size,
-			}})
-			if err != nil {
-				c.cache.Release(local)
-				return nil, err
-			}
-			out := make([]byte, size)
-			copy(out, local.Bytes()[:size])
-			c.cache.Release(local)
-			ack := make([]byte, 9)
-			ack[0] = 2
-			putUint64(ack[1:], uint64(h))
-			// Best effort: ack loss only delays buffer reuse.
-			c.dataEP.SendMsg(c.prAck, ack) //nolint:errcheck
-			return out, nil
-		}
-	}
-}
-
-func (c *rdmaConn) Close() error {
-	if c.closed.Swap(true) {
-		return nil
-	}
-	// Graceful teardown: give the peer a bounded window to fetch and ack
-	// outstanding large payloads before their registrations vanish.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		c.drainAcks()
-		c.mu.Lock()
-		pending := len(c.outstanding)
-		c.mu.Unlock()
-		if pending == 0 {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	// Detach both sides' endpoints: closing only our own would leave the
-	// peer's Recv blocked forever (a connection teardown must surface as
-	// End-of-Stream at the peer, like every other transport).
-	c.fabric.Detach(c.dataEP)
-	c.fabric.Detach(c.ackEP)
-	c.fabric.Detach(c.peer)
-	c.fabric.Detach(c.prAck)
-	c.cache.Drain()
-	return nil
-}
-
-func (c *rdmaConn) Transport() string { return "rdma" }
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func leUint64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
-}

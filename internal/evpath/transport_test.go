@@ -7,18 +7,28 @@ import (
 	"io"
 	"sync"
 	"testing"
-	"time"
-
-	"flexio/internal/machine"
-	"flexio/internal/rdma"
 )
 
 func newTestNet() *Net {
-	return NewNet(rdma.NewFabric(machine.Titan(4).Net))
+	return NewNet(nil)
 }
 
 func allKinds() []TransportKind {
-	return []TransportKind{ChanTransport, ShmTransport, RDMATransport}
+	return []TransportKind{ChanTransport, ShmTransport, TCPTransport}
+}
+
+// newKindNet returns a Net on which kind can be dialed to a local
+// listener: tcp needs the loopback wire served, the others nothing.
+func newKindNet(t *testing.T, kind TransportKind) *Net {
+	t.Helper()
+	n := newTestNet()
+	if kind == TCPTransport {
+		if err := n.ServeLoopback(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.CloseTCP)
+	}
+	return n
 }
 
 func TestDialUnknownPeer(t *testing.T) {
@@ -58,7 +68,7 @@ func TestConnRoundTripAllTransports(t *testing.T) {
 	for _, kind := range allKinds() {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			n := newTestNet()
+			n := newKindNet(t, kind)
 			l, err := n.Listen("svc")
 			if err != nil {
 				t.Fatal(err)
@@ -78,7 +88,7 @@ func TestConnRoundTripAllTransports(t *testing.T) {
 			// Small and large messages, both directions.
 			msgs := [][]byte{
 				[]byte("small"),
-				bytes.Repeat([]byte{0x5A}, 300000), // large: pooled / RDMA Get path
+				bytes.Repeat([]byte{0x5A}, 300000), // large: pooled / multi-KiB frame path
 			}
 			var wg sync.WaitGroup
 			wg.Add(1)
@@ -135,7 +145,7 @@ func TestConnCloseYieldsEOF(t *testing.T) {
 	for _, kind := range allKinds() {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			n := newTestNet()
+			n := newKindNet(t, kind)
 			l, _ := n.Listen("svc")
 			dialer, err := n.Dial("svc", kind, 0, 1)
 			if err != nil {
@@ -159,69 +169,6 @@ func TestConnCloseYieldsEOF(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestRDMAManyLargeMessagesReusesCache(t *testing.T) {
-	n := newTestNet()
-	l, _ := n.Listen("svc")
-	a, err := n.Dial("svc", RDMATransport, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := l.Accept()
-	const rounds = 30
-	payload := bytes.Repeat([]byte{7}, 128<<10)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			if err := a.Send(payload); err != nil {
-				t.Errorf("send %d: %v", i, err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < rounds; i++ {
-		got, err := b.Recv()
-		if err != nil {
-			t.Fatalf("recv %d: %v", i, err)
-		}
-		if len(got) != len(payload) {
-			t.Fatalf("recv %d: %d bytes", i, len(got))
-		}
-	}
-	wg.Wait()
-	// Wait for the receiver's acks to release every outstanding send
-	// buffer, then one more send must hit the registration cache:
-	// reuse is the whole point of the cache.
-	rc := a.(*rdmaConn)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rc.drainAcks()
-		rc.mu.Lock()
-		pending := len(rc.outstanding)
-		rc.mu.Unlock()
-		if pending == 0 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	done := make(chan struct{})
-	go func() {
-		a.Send(payload)
-		close(done)
-	}()
-	if _, err := b.Recv(); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	st := rc.cache.Stats()
-	if st.Hits == 0 {
-		t.Fatalf("registration cache never hit: %+v", st)
-	}
-	a.Close()
-	b.Close()
 }
 
 func TestManyConcurrentConns(t *testing.T) {

@@ -16,7 +16,6 @@ import (
 	"flexio/internal/machine"
 	"flexio/internal/monitor"
 	"flexio/internal/ndarray"
-	"flexio/internal/rdma"
 )
 
 // The tenants soak: nTenants coupled streams share one staging pool, one
@@ -162,7 +161,13 @@ func Tenants() (*Figure, error) {
 	pool := machine.Titan(16) // 256 shared cores
 	fab := fabric.New(pool)
 	defer fab.Close()
-	net := evpath.NewNet(rdma.NewFabric(pool.Net))
+	// Tenants grown onto other nodes cross a loopback socket of the one
+	// process's Net.
+	net := evpath.NewNet(nil)
+	if err := net.ServeLoopback(); err != nil {
+		return nil, err
+	}
+	defer net.CloseTCP()
 	dir := directory.NewMem()
 	defer dir.Close()
 

@@ -19,7 +19,6 @@ import (
 	"flexio/internal/monitor"
 	"flexio/internal/ndarray"
 	"flexio/internal/placement"
-	"flexio/internal/rdma"
 )
 
 // TraceRun is the observability drill (`make trace`). Everything it
@@ -110,18 +109,22 @@ func TraceRun(dir, serveAddr string) (*Figure, error) {
 }
 
 // traceStream runs the instrumented 2-writer / 2-reader stream: three
-// steps over shm, a Reconfigure that moves both readers to node 1 (rdma
-// transport thereafter), three more steps. A pass-through reader plug-in
-// keeps dc.plugin events on the analytics side of the trace; the flight
-// journal rides along at every layer (core step chain, shm queue
-// crossings, rdma verbs). If liveCheck is non-empty, /metrics, /journal,
-// /trace and /critpath are fetched mid-run and must already serve.
-// Afterwards the transport-resource gauges (registration cache,
-// message-queue high-water, shm pools/ring waits) are published into the
-// writer monitor so they surface on /metrics.
+// steps over shm, a Reconfigure that moves both readers to node 1 (tcp
+// over a loopback socket thereafter), three more steps. A pass-through
+// reader plug-in keeps dc.plugin events on the analytics side of the
+// trace; the flight journal rides along at every layer (core step chain,
+// shm queue crossings, tcp frames). If liveCheck is non-empty, /metrics,
+// /journal, /trace and /critpath are fetched mid-run and must already
+// serve. Afterwards the transport-resource gauges (tcp frame and byte
+// counters, shm pools/ring waits) are published into the writer monitor
+// so they surface on /metrics.
 func traceStream(wm, rm *monitor.Monitor, fj *flight.Journal, liveCheck string, fig *Figure) error {
 	const nw, nr, pre, post = 2, 2, 3, 3
-	net := evpath.NewNet(rdma.NewFabric(machine.Titan(8).Net))
+	net := evpath.NewNet(nil)
+	if err := net.ServeLoopback(); err != nil {
+		return err
+	}
+	defer net.CloseTCP()
 	net.SetJournal(fj)
 	dir := directory.NewMem()
 
@@ -269,7 +272,7 @@ func traceStream(wm, rm *monitor.Monitor, fj *flight.Journal, liveCheck string, 
 	if err := rg.Reconfigure(core.ReconfigSpec{
 		NReaders: nr,
 		Arrays:   map[string][]ndarray.Box{"field": rdec.Boxes},
-		Nodes:    []int{1, 1}, // move the analytics off-node: shm -> rdma
+		Nodes:    []int{1, 1}, // move the analytics off-node: shm -> tcp
 	}); err != nil {
 		return err
 	}
@@ -297,20 +300,19 @@ func traceStream(wm, rm *monitor.Monitor, fj *flight.Journal, liveCheck string, 
 		}
 	}
 
-	// Transport-resource gauges onto /metrics: registration-cache and
-	// message-queue counters from the epoch-2 rdma phase, per-channel
-	// pool/ring counters from the epoch-1 shm phase, and the core
-	// assembly pool's drain state (zero in-use once every ReadArray
-	// buffer came back through ReleaseArray).
-	net.Fabric().ReportTo(wm, "rdma")
+	// Transport-resource gauges onto /metrics: frame and byte counters
+	// from the epoch-2 tcp phase, per-channel pool/ring counters from the
+	// epoch-1 shm phase, and the core assembly pool's drain state (zero
+	// in-use once every ReadArray buffer came back through ReleaseArray).
+	net.ReportTCP(wm, "tcp.")
 	net.ReportShm(wm, "shm")
 	asm := rg.AsmPoolStats()
 	rm.Set("core.asmpool.inuse", asm.BytesInUse)
 	rm.Set("core.asmpool.highwater", asm.HighWater)
+	ts := net.TCPStatsSnapshot()
 	fig.Notes = append(fig.Notes, fmt.Sprintf(
-		"transport gauges: rdma cache hits=%d misses=%d, msgq highwater=%d/%d, asm pool inuse=%d (highwater %d)",
-		net.Fabric().CacheTotals().Hits, net.Fabric().CacheTotals().Misses,
-		net.Fabric().MsgQueueHighWater(), rdma.MsgQueueDepth, asm.BytesInUse, asm.HighWater))
+		"transport gauges: tcp frames tx=%d rx=%d, bytes tx=%d, asm pool inuse=%d (highwater %d)",
+		ts.MsgsTX, ts.MsgsRX, ts.BytesTX, asm.BytesInUse, asm.HighWater))
 
 	fig.Notes = append(fig.Notes, fmt.Sprintf(
 		"stream: %d writers -> %d readers, %d+%d steps around a node-move reconfiguration", nw, nr, pre, post))

@@ -56,19 +56,22 @@ func TestTraceRunArtifacts(t *testing.T) {
 			pidName[ev.Pid] = ev.Args["name"].(string)
 		}
 	}
-	// Stages of probe step 1, by journal lane.
-	stages := map[string]map[string]bool{} // point -> set of lanes
+	// Stages of probe steps 1 (on-node epoch) and 4 (off-node epoch), by
+	// journal lane.
+	stages := map[float64]map[string]map[string]bool{1: {}, 4: {}} // step -> point -> set of lanes
 	for _, ev := range tr.TraceEvents {
 		if ev.Ph != "X" {
 			continue
 		}
-		if step, ok := ev.Args["step"].(float64); !ok || step != 1 {
+		step, _ := ev.Args["step"].(float64)
+		byPoint, ok := stages[step]
+		if !ok {
 			continue
 		}
-		if stages[ev.Name] == nil {
-			stages[ev.Name] = map[string]bool{}
+		if byPoint[ev.Name] == nil {
+			byPoint[ev.Name] = map[string]bool{}
 		}
-		stages[ev.Name][pidName[ev.Pid]] = true
+		byPoint[ev.Name][pidName[ev.Pid]] = true
 	}
 	for point, lane := range map[string]string{
 		"writer.flush":    "journal 0",
@@ -79,9 +82,14 @@ func TestTraceRunArtifacts(t *testing.T) {
 		"sim.compute":     "journal 1",
 		"analysis":        "journal 1",
 	} {
-		if !stages[point][lane] {
-			t.Errorf("step 1 missing %q in lane %q (have %v)", point, lane, stages[point])
+		if !stages[1][point][lane] {
+			t.Errorf("step 1 missing %q in lane %q (have %v)", point, lane, stages[1][point])
 		}
+	}
+	// After the node move the same stream crosses the wire.
+	if !stages[4]["send.tcp"]["journal 0"] || stages[4]["send.shm"]["journal 0"] {
+		t.Errorf("step 4 (off-node) sends: tcp %v shm %v, want tcp only",
+			stages[4]["send.tcp"], stages[4]["send.shm"])
 	}
 
 	// metrics.json: machine-readable report with quantiles for the flush
@@ -110,13 +118,11 @@ func TestTraceRunArtifacts(t *testing.T) {
 	}
 
 	// Transport-resource gauges must surface in the merged report: the
-	// rdma phase exercises the registration cache and message queues...
-	if rep.Gauges["rdma.cache.hits"] <= 0 || rep.Gauges["rdma.cache.misses"] <= 0 {
-		t.Errorf("registration-cache gauges missing: hits=%d misses=%d",
-			rep.Gauges["rdma.cache.hits"], rep.Gauges["rdma.cache.misses"])
-	}
-	if hw := rep.Gauges["rdma.msgq.highwater"]; hw <= 0 || hw > rep.Gauges["rdma.msgq.cap"] {
-		t.Errorf("msgq highwater %d out of range (cap %d)", hw, rep.Gauges["rdma.msgq.cap"])
+	// off-node phase moves frames and bytes over the loopback wire...
+	for _, g := range []string{"tcp.msgs_tx", "tcp.msgs_rx", "tcp.bytes_tx", "tcp.bytes_rx"} {
+		if rep.Gauges[g] <= 0 {
+			t.Errorf("tcp gauge %s = %d, want > 0", g, rep.Gauges[g])
+		}
 	}
 	// ...and the shm phase moves array payloads: either through a
 	// channel's buffer pool (eager copies) or by reference (handle

@@ -109,7 +109,7 @@ func Start(cfg Config) (*Daemon, error) {
 		cfg.Bind = "127.0.0.1:0"
 	}
 	d := &Daemon{
-		Net:           evpath.NewNet(nil),
+		Net:           evpath.NewNet(&cfg.TCP),
 		Mon:           monitor.New(cfg.Name),
 		Jrn:           flight.NewJournal(0),
 		cfg:           cfg,
@@ -120,7 +120,6 @@ func Start(cfg Config) (*Daemon, error) {
 	if err := d.transition(StateInit, StateRegistering); err != nil {
 		return nil, err
 	}
-	d.Net.ConfigureTCP(cfg.TCP)
 	d.contacts = &Contacts{Dir: cfg.Dir, TTL: cfg.LeaseTTL}
 	d.contacts.Bind(d.Net)
 

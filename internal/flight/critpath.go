@@ -23,7 +23,7 @@ import (
 // Edge is one hop of a step's critical path.
 type Edge struct {
 	// Point is the stage the time is attributed to ("writer.pack",
-	// "send.rdma", "wait", ...).
+	// "send.tcp", "wait", ...).
 	Point string  `json:"point"`
 	Kind  string  `json:"kind"`
 	Rank  int     `json:"rank"`
@@ -246,7 +246,7 @@ func (sp *StepPath) EdgeSum() float64 {
 }
 
 // String renders a one-line summary: "step 3: 12.5ms = writer.pack 40% +
-// send.rdma 35% + ...".
+// send.tcp 35% + ...".
 func (sp *StepPath) String() string {
 	s := fmt.Sprintf("step %d: %.6fs dominant=%s", sp.Step, sp.Latency, sp.Dominant)
 	return s

@@ -9,7 +9,7 @@
 //
 //   - critpath.go builds the happens-before graph of a step's events and
 //     extracts the critical path, attributing the step's latency to its
-//     dominating edge chain (e.g. writer.pack → rdma.put →
+//     dominating edge chain (e.g. writer.pack → send.tcp →
 //     reader.assemble) so placement decisions can react to *where* time
 //     goes, not just how much;
 //   - replay.go hashes the event stream and diffs two journals, turning
@@ -45,11 +45,10 @@ const (
 	// KindCompute is a processing stage (pack, assemble, plug-in, sim
 	// compute).
 	KindCompute Kind = iota + 1
-	// KindSend is data leaving a rank or stage (transport send, RDMA
-	// put, flow injection).
+	// KindSend is data leaving a rank or stage (transport send, flow
+	// injection).
 	KindSend
-	// KindRecv is data arriving (transport recv, RDMA get completion,
-	// flow delivery).
+	// KindRecv is data arriving (transport recv, flow delivery).
 	KindRecv
 	// KindEnqueue is admission into a bounded queue or buffer pool.
 	KindEnqueue
@@ -98,7 +97,7 @@ type Event struct {
 	Parent EventID `json:"parent,omitempty"` // causal parent (0 = root)
 	Kind   Kind    `json:"kind"`
 	// Point is the stage name, matching the monitor's measurement points
-	// where both exist ("writer.pack", "send.rdma", "sim.compute", ...).
+	// where both exist ("writer.pack", "send.tcp", "sim.compute", ...).
 	Point string `json:"point"`
 	// Channel names the resource the event crossed (a transport pair,
 	// a fluid-flow resource set, a queue) for send/recv matching. The

@@ -47,7 +47,6 @@ func isTransportPoint(point string) bool {
 	switch {
 	case strings.HasPrefix(point, "send."),
 		strings.HasPrefix(point, "recv."),
-		strings.HasPrefix(point, "rdma."),
 		strings.HasPrefix(point, "shm."),
 		point == "wait", point == "sim.io", point == "reader.accept":
 		return true

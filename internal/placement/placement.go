@@ -218,9 +218,9 @@ func (p *Placement) InterNodeVolume() float64 {
 }
 
 // TransportFor yields the adios/core transport-selection function that
-// enforces this placement: shared memory on-node, RDMA across nodes —
-// "intra- vs inter-node transports are automatically configured according
-// to the placements".
+// enforces this placement by evpath.TransportBetween: shared memory
+// on-node, tcp across nodes — "intra- vs inter-node transports are
+// automatically configured according to the placements".
 func (p *Placement) TransportFor() func(w, r int) (evpath.TransportKind, int, int) {
 	m := p.Spec.Machine
 	return func(w, r int) (evpath.TransportKind, int, int) {
@@ -229,10 +229,7 @@ func (p *Placement) TransportFor() func(w, r int) (evpath.TransportKind, int, in
 		}
 		wn := m.NodeOfCore(p.SimCore[w])
 		rn := m.NodeOfCore(p.AnaCore[r])
-		if wn == rn {
-			return evpath.ShmTransport, wn, rn
-		}
-		return evpath.RDMATransport, wn, rn
+		return evpath.TransportBetween(wn, rn), wn, rn
 	}
 }
 

@@ -232,7 +232,7 @@ func TestTransportForMatchesPlacement(t *testing.T) {
 			if sameNode && kind != evpath.ShmTransport {
 				t.Fatalf("pair (%d,%d) on-node but kind %v", w, r, kind)
 			}
-			if !sameNode && kind != evpath.RDMATransport {
+			if !sameNode && kind != evpath.TCPTransport {
 				t.Fatalf("pair (%d,%d) cross-node but kind %v", w, r, kind)
 			}
 			if nw != m.NodeOfCore(ta.SimCore[w]) || nr != m.NodeOfCore(ta.AnaCore[r]) {

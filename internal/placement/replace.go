@@ -7,7 +7,7 @@ import (
 )
 
 // PairChange records one writer-reader pair whose transport flips when a
-// placement is replaced (e.g. shm -> rdma because the reader moved off
+// placement is replaced (e.g. shm -> tcp because the reader moved off
 // the writer's node).
 type PairChange struct {
 	Writer, Reader int

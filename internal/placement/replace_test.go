@@ -43,12 +43,12 @@ func TestReplaceHelperCoreToStaging(t *testing.T) {
 	if got := d.AnaNodes; len(got) != 2 || got[0] != 1 || got[1] != 1 {
 		t.Fatalf("AnaNodes = %v", got)
 	}
-	// Every surviving pair flips shm -> rdma.
+	// Every surviving pair flips shm -> tcp.
 	if len(d.Flipped) != 4 {
 		t.Fatalf("flipped %d pairs, want 4", len(d.Flipped))
 	}
 	for _, f := range d.Flipped {
-		if f.From != evpath.ShmTransport || f.To != evpath.RDMATransport {
+		if f.From != evpath.ShmTransport || f.To != evpath.TCPTransport {
 			t.Fatalf("pair (%d,%d): %v -> %v", f.Writer, f.Reader, f.From, f.To)
 		}
 	}
@@ -78,7 +78,7 @@ func TestReplaceRankCountChange(t *testing.T) {
 	if len(d.MovedAna) != 1 || d.MovedAna[0] != 1 {
 		t.Fatalf("MovedAna = %v", d.MovedAna)
 	}
-	// 2 sims x surviving rank 1 flip shm->rdma; rank 0's pairs keep shm.
+	// 2 sims x surviving rank 1 flip shm->tcp; rank 0's pairs keep shm.
 	if len(d.Flipped) != 2 {
 		t.Fatalf("flipped %d pairs, want 2", len(d.Flipped))
 	}

@@ -50,7 +50,6 @@ func (c *RegCache) class(n int) int {
 // prefix is r.Bytes()[:n].
 func (c *RegCache) Acquire(n int) (*MemRegion, float64, error) {
 	cls := c.class(n)
-	fab := c.ep.fab
 	c.mu.Lock()
 	if stack := c.free[cls]; len(stack) > 0 {
 		r := stack[len(stack)-1]
@@ -58,13 +57,10 @@ func (c *RegCache) Acquire(n int) (*MemRegion, float64, error) {
 		c.stats.Hits++
 		c.stats.BytesRetained -= int64(cls)
 		c.mu.Unlock()
-		fab.cacheHits.Add(1)
-		fab.cacheBytes.Add(-int64(cls))
 		return r, 0, nil
 	}
 	c.stats.Misses++
 	c.mu.Unlock()
-	fab.cacheMisses.Add(1)
 
 	buf := make([]byte, cls)
 	cost := c.ep.fab.AllocCost(cls)
@@ -83,19 +79,16 @@ func (c *RegCache) Acquire(n int) (*MemRegion, float64, error) {
 // threshold, the region is unregistered and dropped (reclamation).
 func (c *RegCache) Release(r *MemRegion) {
 	cls := len(r.buf)
-	fab := c.ep.fab
 	c.mu.Lock()
 	if c.maxBytes > 0 && c.stats.BytesRetained+int64(cls) > c.maxBytes {
 		c.stats.Reclaims++
 		c.mu.Unlock()
-		fab.cacheReclaims.Add(1)
 		c.ep.UnregisterMemory(r) //nolint:errcheck // best-effort reclaim
 		return
 	}
 	c.free[cls] = append(c.free[cls], r)
 	c.stats.BytesRetained += int64(cls)
 	c.mu.Unlock()
-	fab.cacheBytes.Add(int64(cls))
 }
 
 // Drain unregisters and drops every cached region; used at shutdown.
@@ -111,7 +104,6 @@ func (c *RegCache) Drain() {
 		regions = append(regions, c.free[cls]...)
 		delete(c.free, cls)
 	}
-	c.ep.fab.cacheBytes.Add(-c.stats.BytesRetained)
 	c.stats.BytesRetained = 0
 	c.mu.Unlock()
 	for _, r := range regions {

@@ -1,39 +1,31 @@
-// Package rdma implements FlexIO's inter-node transport layer (Section
-// II.E of the paper): an NNTI-like portability API offering Connect,
-// memory Register/Unregister, RDMA Put and Get, and paired small-message
-// queues, plus the optimizations the paper builds above NNTI — a
-// persistent buffer/registration cache and receiver-directed Get
-// scheduling for contention avoidance.
+// Package rdma models the NNTI layer of the paper's inter-node transport
+// (Section II.E): memory Register/Unregister, receiver-directed RDMA Get,
+// and the persistent buffer/registration cache FlexIO builds above it.
+// It exists to reproduce Figure 4 (dynamic vs. static registration
+// bandwidth); the live data plane crosses nodes over evpath's tcp
+// transport and never uses it.
 //
 // There is no RDMA-capable NIC here, so the fabric is an in-process
 // emulation: registered memory regions are real byte slices addressable by
-// opaque handles, Put/Get perform real copies (so data integrity is
-// testable end to end), and every verb additionally reports a *modeled*
-// cost in seconds derived from a machine.Interconnect — registration cost
-// per page, one-way latency, and payload bandwidth. The modeled costs are
-// what reproduce Figure 4 (dynamic vs. static registration bandwidth).
+// opaque handles, Get performs a real copy (so data integrity is
+// testable), and every verb additionally reports a *modeled* cost in
+// seconds derived from a machine.Interconnect — registration cost per
+// page, one-way latency, and payload bandwidth.
 package rdma
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
-	"flexio/internal/flight"
 	"flexio/internal/machine"
-	"flexio/internal/monitor"
 )
 
 // Common errors.
 var (
-	ErrUnknownPeer    = errors.New("rdma: unknown peer")
-	ErrBadHandle      = errors.New("rdma: stale or unknown memory handle")
-	ErrOutOfBounds    = errors.New("rdma: access outside registered region")
-	ErrQueueFull      = errors.New("rdma: receiver message queue full")
-	ErrClosed         = errors.New("rdma: endpoint closed")
-	ErrNotRegistered  = errors.New("rdma: memory not registered")
-	ErrDoubleRegister = errors.New("rdma: region already registered")
+	ErrBadHandle     = errors.New("rdma: stale or unknown memory handle")
+	ErrOutOfBounds   = errors.New("rdma: access outside registered region")
+	ErrNotRegistered = errors.New("rdma: memory not registered")
 )
 
 // Handle names a registered memory region fabric-wide; it is what control
@@ -67,18 +59,6 @@ type Fabric struct {
 	nextH     Handle
 	regions   map[Handle]*MemRegion
 	endpoints map[string]*Endpoint
-	mon       *monitor.Monitor // attached via SetMonitor; nil = off
-	journal   *flight.Journal  // attached via SetJournal; nil = off
-
-	// Resource counters aggregated fabric-wide: registration caches are
-	// created per connection inside the transport layer, so their stats
-	// roll up here (see flightrec.go), as does the deepest observed
-	// small-message queue.
-	cacheHits     atomic.Int64
-	cacheMisses   atomic.Int64
-	cacheReclaims atomic.Int64
-	cacheBytes    atomic.Int64
-	msgqHighWater atomic.Int64
 }
 
 // NewFabric creates a fabric with the given interconnect cost model.
@@ -121,15 +101,8 @@ type Endpoint struct {
 	Name   string
 	NodeID int
 
-	fab    *Fabric
-	mu     sync.Mutex
-	closed bool
-	msgQ   chan []byte // the receive message queue (RDMA Put target)
+	fab *Fabric
 }
-
-// MsgQueueDepth is the depth of the paired small-message queues the paper
-// establishes between interacting processes.
-const MsgQueueDepth = 128
 
 // Attach creates an endpoint named name on the given node.
 func (f *Fabric) Attach(name string, nodeID int) (*Endpoint, error) {
@@ -138,27 +111,15 @@ func (f *Fabric) Attach(name string, nodeID int) (*Endpoint, error) {
 	if _, dup := f.endpoints[name]; dup {
 		return nil, fmt.Errorf("rdma: endpoint %q already attached", name)
 	}
-	ep := &Endpoint{Name: name, NodeID: nodeID, fab: f, msgQ: make(chan []byte, MsgQueueDepth)}
+	ep := &Endpoint{Name: name, NodeID: nodeID, fab: f}
 	f.endpoints[name] = ep
 	return ep, nil
 }
 
-// Lookup finds an attached endpoint (the Connect step: in NNTI a peer URL
-// resolves to a connection; here a name resolves to the endpoint).
-func (f *Fabric) Lookup(name string) (*Endpoint, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ep, ok := f.endpoints[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownPeer, name)
-	}
-	return ep, nil
-}
-
-// Detach closes the endpoint: its message queue is closed and its
-// registrations are dropped.
+// Detach removes the endpoint and drops its registrations.
 func (f *Fabric) Detach(ep *Endpoint) {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	for h, r := range f.regions {
 		if r.owner == ep {
 			r.active = false
@@ -166,13 +127,6 @@ func (f *Fabric) Detach(ep *Endpoint) {
 		}
 	}
 	delete(f.endpoints, ep.Name)
-	f.mu.Unlock()
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if !ep.closed {
-		ep.closed = true
-		close(ep.msgQ)
-	}
 }
 
 // RegisterMemory registers buf for RDMA and returns the region plus the
@@ -184,15 +138,7 @@ func (ep *Endpoint) RegisterMemory(buf []byte) (*MemRegion, float64, error) {
 	r := &MemRegion{h: f.nextH, buf: buf, owner: ep, active: true}
 	f.nextH++
 	f.regions[r.h] = r
-	cost := f.RegCost(len(buf))
-	observeVerb(f.mon, "rdma.reg", cost, len(buf))
-	if j := f.journal; j != nil { // f.mu held: read the field directly
-		j.Record(flight.Event{
-			Kind: flight.KindSend, Point: "rdma.reg", Channel: ep.Name,
-			T: j.Now(), Dur: cost, Step: -1, Bytes: int64(len(buf)),
-		})
-	}
-	return r, cost, nil
+	return r, f.RegCost(len(buf)), nil
 }
 
 // UnregisterMemory removes the registration. Further fabric access through
@@ -240,71 +186,5 @@ func (ep *Endpoint) Get(remote Handle, remoteOff int, local *MemRegion, localOff
 		return 0, fmt.Errorf("%w: local [%d,%d) of %d", ErrOutOfBounds, localOff, localOff+n, len(local.buf))
 	}
 	copy(local.buf[localOff:localOff+n], src.buf[remoteOff:remoteOff+n])
-	cost := ep.fab.XferCost(n)
-	observeVerb(ep.fab.monitor(), "rdma.get", cost, n)
-	ep.fab.recordVerb("rdma.get", src.owner.Name+">"+ep.Name, cost, n)
-	return cost, nil
-}
-
-// Put writes n bytes from the local registered region into the remote one
-// (FMA Put on Gemini; used for small messages and message-queue delivery).
-func (ep *Endpoint) Put(local *MemRegion, localOff int, remote Handle, remoteOff, n int) (float64, error) {
-	if local == nil || !local.active {
-		return 0, ErrNotRegistered
-	}
-	dst, err := ep.fab.lookupRegion(remote)
-	if err != nil {
-		return 0, err
-	}
-	if localOff < 0 || localOff+n > len(local.buf) {
-		return 0, fmt.Errorf("%w: local [%d,%d) of %d", ErrOutOfBounds, localOff, localOff+n, len(local.buf))
-	}
-	if remoteOff < 0 || remoteOff+n > len(dst.buf) {
-		return 0, fmt.Errorf("%w: remote [%d,%d) of %d", ErrOutOfBounds, remoteOff, remoteOff+n, len(dst.buf))
-	}
-	copy(dst.buf[remoteOff:remoteOff+n], local.buf[localOff:localOff+n])
-	cost := ep.fab.XferCost(n)
-	observeVerb(ep.fab.monitor(), "rdma.put", cost, n)
-	ep.fab.recordVerb("rdma.put", ep.Name+">"+dst.owner.Name, cost, n)
-	return cost, nil
-}
-
-// SendMsg delivers a small message into the peer's message queue (the
-// paper: "the sender process uses NNTI's RDMA Put to send a message into
-// the receiver process' message queue"). Non-blocking: a full queue
-// returns ErrQueueFull so callers can apply backpressure policies.
-func (ep *Endpoint) SendMsg(peer *Endpoint, msg []byte) (float64, error) {
-	peer.mu.Lock()
-	defer peer.mu.Unlock()
-	if peer.closed {
-		return 0, ErrClosed
-	}
-	cp := make([]byte, len(msg))
-	copy(cp, msg)
-	select {
-	case peer.msgQ <- cp:
-		ep.fab.noteMsgQDepth(len(peer.msgQ))
-		cost := ep.fab.XferCost(len(msg))
-		observeVerb(ep.fab.monitor(), "rdma.sendmsg", cost, len(msg))
-		ep.fab.recordVerb("rdma.sendmsg", ep.Name+">"+peer.Name, cost, len(msg))
-		return cost, nil
-	default:
-		return 0, ErrQueueFull
-	}
-}
-
-// RecvMsg blocks for the next small message; ok=false after Detach.
-func (ep *Endpoint) RecvMsg() (msg []byte, ok bool) {
-	m, ok := <-ep.msgQ
-	return m, ok
-}
-
-// TryRecvMsg polls the message queue without blocking.
-func (ep *Endpoint) TryRecvMsg() (msg []byte, ok bool) {
-	select {
-	case m, open := <-ep.msgQ:
-		return m, open
-	default:
-		return nil, false
-	}
+	return ep.fab.XferCost(n), nil
 }

@@ -3,7 +3,6 @@ package rdma
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 
 	"flexio/internal/machine"
@@ -13,7 +12,7 @@ func testFabric() *Fabric {
 	return NewFabric(machine.Titan(2).Net)
 }
 
-func TestAttachLookupDetach(t *testing.T) {
+func TestAttachDetach(t *testing.T) {
 	f := testFabric()
 	a, err := f.Attach("a", 0)
 	if err != nil {
@@ -22,17 +21,13 @@ func TestAttachLookupDetach(t *testing.T) {
 	if _, err := f.Attach("a", 0); err == nil {
 		t.Fatal("duplicate attach must fail")
 	}
-	got, err := f.Lookup("a")
-	if err != nil || got != a {
-		t.Fatalf("Lookup = %v, %v", got, err)
-	}
 	f.Detach(a)
-	if _, err := f.Lookup("a"); !errors.Is(err, ErrUnknownPeer) {
-		t.Fatalf("lookup after detach = %v, want ErrUnknownPeer", err)
+	if _, err := f.Attach("a", 0); err != nil {
+		t.Fatalf("name must be reusable after detach: %v", err)
 	}
 }
 
-func TestRegisterGetPut(t *testing.T) {
+func TestRegisterGet(t *testing.T) {
 	f := testFabric()
 	a, _ := f.Attach("a", 0)
 	b, _ := f.Attach("b", 1)
@@ -57,15 +52,6 @@ func TestRegisterGetPut(t *testing.T) {
 	}
 	if want := f.XferCost(len(src)); xc != want {
 		t.Fatalf("xfer cost = %g, want %g", xc, want)
-	}
-
-	// Put back a modified prefix.
-	copy(dst, "THE QUICK")
-	if _, err := b.Put(dreg, 0, sreg.Handle(), 0, 9); err != nil {
-		t.Fatal(err)
-	}
-	if string(src[:9]) != "THE QUICK" {
-		t.Fatalf("Put result = %q", src[:9])
 	}
 }
 
@@ -124,62 +110,6 @@ func TestDetachInvalidatesRegions(t *testing.T) {
 	f.Detach(a)
 	if _, err := b.Get(sreg.Handle(), 0, dreg, 0, 8); !errors.Is(err, ErrBadHandle) {
 		t.Fatalf("region must die with endpoint, got %v", err)
-	}
-}
-
-func TestMessageQueue(t *testing.T) {
-	f := testFabric()
-	a, _ := f.Attach("a", 0)
-	b, _ := f.Attach("b", 1)
-	if _, err := a.SendMsg(b, []byte("ctrl")); err != nil {
-		t.Fatal(err)
-	}
-	msg, ok := b.RecvMsg()
-	if !ok || string(msg) != "ctrl" {
-		t.Fatalf("RecvMsg = %q, %v", msg, ok)
-	}
-	if _, ok := b.TryRecvMsg(); ok {
-		t.Fatal("queue should be empty")
-	}
-}
-
-func TestMessageQueueFull(t *testing.T) {
-	f := testFabric()
-	a, _ := f.Attach("a", 0)
-	b, _ := f.Attach("b", 1)
-	for i := 0; i < MsgQueueDepth; i++ {
-		if _, err := a.SendMsg(b, []byte{1}); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-	}
-	if _, err := a.SendMsg(b, []byte{1}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("full queue = %v, want ErrQueueFull", err)
-	}
-}
-
-func TestMessageQueueClosed(t *testing.T) {
-	f := testFabric()
-	a, _ := f.Attach("a", 0)
-	b, _ := f.Attach("b", 1)
-	f.Detach(b)
-	if _, err := a.SendMsg(b, []byte{1}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("send to closed = %v", err)
-	}
-	if _, ok := b.RecvMsg(); ok {
-		t.Fatal("recv on closed must report !ok")
-	}
-}
-
-func TestMsgCopiesPayload(t *testing.T) {
-	f := testFabric()
-	a, _ := f.Attach("a", 0)
-	b, _ := f.Attach("b", 1)
-	buf := []byte("mutable")
-	a.SendMsg(b, buf)
-	buf[0] = 'X'
-	msg, _ := b.RecvMsg()
-	if string(msg) != "mutable" {
-		t.Fatal("SendMsg must copy the payload")
 	}
 }
 
@@ -244,87 +174,6 @@ func TestRegCacheDrain(t *testing.T) {
 	}
 	if c.Stats().BytesRetained != 0 {
 		t.Fatal("retained bytes must be zero after drain")
-	}
-}
-
-func TestGetSchedulerBound(t *testing.T) {
-	s := NewGetScheduler(3, 0)
-	var wg sync.WaitGroup
-	gate := make(chan struct{})
-	for i := 0; i < 10; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.Do(func() error {
-				<-gate
-				return nil
-			})
-		}()
-	}
-	// Give the workers a chance to saturate the bound, then release.
-	for {
-		inflight, _, _ := s.Stats()
-		if inflight == 3 {
-			break
-		}
-	}
-	close(gate)
-	wg.Wait()
-	_, peak, total := s.Stats()
-	if peak > 3 {
-		t.Fatalf("peak inflight %d exceeded bound 3", peak)
-	}
-	if total != 10 {
-		t.Fatalf("total = %d, want 10", total)
-	}
-}
-
-func TestGetSchedulerPacingDefaults(t *testing.T) {
-	if s := NewGetScheduler(0, -1); s.MaxInflight() != 1 || s.PacingFraction != 1 {
-		t.Fatalf("defaults: inflight=%d pacing=%g", s.MaxInflight(), s.PacingFraction)
-	}
-}
-
-func TestFetchAll(t *testing.T) {
-	f := testFabric()
-	a, _ := f.Attach("a", 0)
-	b, _ := f.Attach("b", 1)
-	src := make([]byte, 1024)
-	for i := range src {
-		src[i] = byte(i)
-	}
-	sreg, _, _ := a.RegisterMemory(src)
-	dst := make([]byte, 1024)
-	dreg, _, _ := b.RegisterMemory(dst)
-	var descs []GetDesc
-	for off := 0; off < 1024; off += 256 {
-		descs = append(descs, GetDesc{
-			Remote: sreg.Handle(), RemoteOff: off,
-			Local: dreg, LocalOff: off, N: 256,
-		})
-	}
-	s := NewGetScheduler(2, 0)
-	cost, err := s.FetchAll(b, descs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst, src) {
-		t.Fatal("FetchAll data mismatch")
-	}
-	if want := 4 * f.XferCost(256); cost != want {
-		t.Fatalf("cost = %g, want %g", cost, want)
-	}
-}
-
-func TestFetchAllPropagatesError(t *testing.T) {
-	f := testFabric()
-	b, _ := f.Attach("b", 1)
-	dst := make([]byte, 64)
-	dreg, _, _ := b.RegisterMemory(dst)
-	s := NewGetScheduler(2, 0)
-	_, err := s.FetchAll(b, []GetDesc{{Remote: Handle(404), Local: dreg, N: 8}})
-	if !errors.Is(err, ErrBadHandle) {
-		t.Fatalf("err = %v, want ErrBadHandle", err)
 	}
 }
 
