@@ -1,27 +1,23 @@
 GO ?= go
 
-.PHONY: check ci fmt vet build test race e2e bench soak reconfig trace replay multiproc fleetobs
+.PHONY: check ci fmt vet build test race e2e examples soak reconfig trace replay multiproc fleetobs
 
 ## check: everything a PR must pass — formatting, vet, build, race tests,
 ## and the benchmark's smoke test.
 check: fmt vet build race e2e
 
 ## ci: the continuous-integration gate — vet, build, full race-detector
-## run, plus the benchmark regression gates (budgets in
-## BENCH_monitor.json / BENCH_flight.json / BENCH_redist.json /
-## BENCH_obsplane.json; all run without -race so the measurements are
-## honest), the benchmark's smoke test, and the four drills (trace is the
-## one whose off-node epoch crosses the loopback wire in-process).
+## run, the regression gates (every budget is a row of gates.json; run
+## without -race so the measurements are honest), the benchmark's smoke
+## test, the example programs, and the four drills (trace is the one
+## whose off-node epoch crosses the loopback wire in-process).
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -run TestFlightNopOverheadBudget -count=1 ./internal/flight/
-	$(GO) test -run TestRedistMappingBudget -count=1 .
-	$(GO) test -run TestTCPStatsNopBudget -count=1 ./internal/evpath/
-	$(GO) test -run TestDirectoryLookupBudget -count=1 ./internal/directory/
-	$(GO) test -run TestObsplaneMergeBudget -count=1 ./internal/obsplane/
+	$(GO) test -run TestGates -count=1 ./...
 	$(MAKE) e2e
+	$(MAKE) examples
 	$(MAKE) multiproc
 	$(MAKE) soak
 	$(MAKE) fleetobs
@@ -57,27 +53,12 @@ race:
 e2e:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-## bench: redistribution benchmarks with allocation counts, archived as
-## newline-delimited JSON in BENCH_redist.json.
-bench:
-	$(GO) test -run XXX -bench 'PackUnpack|Redistribution|RedistPlanSteadyState' \
-		-benchmem -benchtime=1s . | tee /tmp/bench_redist.txt
-	awk 'BEGIN { print "[" ; first=1 } \
-	     /^Benchmark/ { \
-	       gsub(/"/, "\\\"", $$1); \
-	       line = sprintf("  {\"name\": \"%s\", \"iterations\": %s", $$1, $$2); \
-	       for (i = 3; i + 1 <= NF; i += 2) { \
-	         v = $$i; u = $$(i+1); gsub(/\//, "_per_", u); gsub(/[^A-Za-z0-9_]/, "_", u); \
-	         line = line sprintf(", \"%s\": %s", u, v); \
-	       } \
-	       line = line "}"; \
-	       if (!first) printf(",\n"); printf("%s", line); first=0 \
-	     } \
-	     END { print "\n]" }' /tmp/bench_redist.txt > BENCH_redist.json
-	@echo "wrote BENCH_redist.json"
+## examples: runs every program under examples/; any non-zero exit fails.
+examples:
+	for p in $$($(GO) list ./examples/...); do $(GO) run $$p || exit 1; done
 
 ## reconfig: mid-run reconfiguration experiment over real core streams;
-## archives drain/wall costs per N -> N' delta in BENCH_reconfig.json.
+## prints writer drain and reader wall time per N -> N' delta.
 reconfig:
 	$(GO) run ./cmd/flexbench -exp reconfig
 

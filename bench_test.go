@@ -189,7 +189,7 @@ var mappingSink int
 
 // mappingDecomps builds the Figure 3-style writer/reader decompositions
 // of a 4096² global for an m-writer, n-reader exchange.
-func mappingDecomps(b *testing.B, m, n int) (writers, readers *ndarray.Decomposition) {
+func mappingDecomps(b testing.TB, m, n int) (writers, readers *ndarray.Decomposition) {
 	b.Helper()
 	shape := []int64{4096, 4096}
 	writers, err := ndarray.BlockDecompose(shape, ndarray.FactorGrid(m, 2))
@@ -203,35 +203,35 @@ func mappingDecomps(b *testing.B, m, n int) (writers, readers *ndarray.Decomposi
 	return writers, readers
 }
 
-// sweepMappingOp is one iteration of the headline mapping benchmark: it
+// sweepMapping runs iterations of the headline mapping benchmark: each
 // invalidates and rebuilds the reader decomposition's interval index
 // (charging the one-time build cost to every iteration) and then maps
 // every writer box through an arena-reused query — the runtime's actual
 // O(actual overlaps) path.
-func sweepMappingOp(b *testing.B, m, n int) func() {
+func sweepMapping(b testing.TB, m, n int) func(iters int) {
 	writers, readers := mappingDecomps(b, m, n)
 	var arena []ndarray.OverlapTarget
-	return func() {
-		readers.InvalidateIndex()
-		idx := readers.Index()
-		total := 0
-		for w := range writers.Boxes {
-			arena = idx.AppendOverlaps(arena, writers.Boxes[w])
-			total += len(arena)
+	return func(iters int) {
+		for ; iters > 0; iters-- {
+			readers.InvalidateIndex()
+			idx := readers.Index()
+			total := 0
+			for w := range writers.Boxes {
+				arena = idx.AppendOverlaps(arena, writers.Boxes[w])
+				total += len(arena)
+			}
+			mappingSink += total
 		}
-		mappingSink += total
 	}
 }
 
 // benchSweepMapping is the headline mapping benchmark body.
 func benchSweepMapping(m, n int) func(*testing.B) {
 	return func(b *testing.B) {
-		op := sweepMappingOp(b, m, n)
+		op := sweepMapping(b, m, n)
 		b.ReportAllocs()
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			op()
-		}
+		op(b.N)
 	}
 }
 

@@ -75,7 +75,7 @@ func (g *WriterGroup) acceptCoordinator() {
 		}
 		kind, _ := ev.Meta.GetString("kind")
 		switch kind {
-		case msgDeployPlugin, msgRemovePlugin:
+		case msgDeployPlugin:
 			ack := g.handlePluginControl(ev)
 			if buf, err := evpath.EncodeEvent(ack); err == nil {
 				conn.Send(buf) //nolint:errcheck // reader times out if lost
@@ -408,18 +408,13 @@ func (g *ReaderGroup) coordPump() {
 }
 
 func (g *ReaderGroup) handleWriterDist(ev *evpath.Event) {
-	name, _ := ev.Meta.GetString("var")
 	nd, _ := ev.Meta.GetInt("ndims")
 	nw, _ := ev.Meta.GetInt("nwriters")
-	es, _ := ev.Meta.GetInt("elemsize")
-	step, _ := ev.Meta.GetInt("step")
 	flat, _ := ev.Meta.GetInts("boxes")
-	boxes, err := decodeBoxes(flat, int(nd), int(nw))
-	if err != nil {
+	if _, err := decodeBoxes(flat, int(nd), int(nw)); err != nil {
 		return
 	}
 	g.mu.Lock()
-	g.dists[name] = distInfo{step: step, ndims: int(nd), elemSize: int(es), boxes: boxes}
 	g.nWriters = int(nw)
 	g.cond.Broadcast()
 	g.mu.Unlock()

@@ -467,43 +467,6 @@ func TestReaderPluginFiltering(t *testing.T) {
 	rg.Close()
 }
 
-func TestWriterDistributionVisibleToReader(t *testing.T) {
-	_, _ = runMxNSplit(t, 4, 2, Options{}, 1)
-	// Covered implicitly; here verify the accessor on a fresh run.
-	h := newHarness(t)
-	shape := []int64{8}
-	wdec, _ := ndarray.BlockDecompose(shape, []int{2})
-	wg, _ := NewWriterGroup(h.net, h.dir, "dist", 2, Options{}, nil)
-	rg, _ := NewReaderGroup(h.net, h.dir, "dist", 1, nil)
-	go func() {
-		for w := 0; w < 2; w++ {
-			w := w
-			go func() {
-				wr := wg.Writer(w)
-				wr.BeginStep(0)
-				wr.Write(VarMeta{Name: "x", Kind: GlobalArrayVar, ElemSize: 8,
-					GlobalShape: shape, Box: wdec.Boxes[w]}, make([]byte, wdec.Boxes[w].NumElements()*8))
-				wr.EndStep()
-			}()
-		}
-	}()
-	rd := rg.Reader(0)
-	rd.SelectArray("x", ndarray.BoxFromShape(shape))
-	if _, ok := rd.BeginStep(); !ok {
-		t.Fatal("no step")
-	}
-	boxes, ok := rg.WriterDistribution("x")
-	if !ok || len(boxes) != 2 {
-		t.Fatalf("writer distribution: %v, %v", boxes, ok)
-	}
-	if !boxes[0].Equal(wdec.Boxes[0]) {
-		t.Fatalf("box 0 = %v, want %v", boxes[0], wdec.Boxes[0])
-	}
-	rd.EndStep()
-	wg.Close()
-	rg.Close()
-}
-
 func TestWriteErrors(t *testing.T) {
 	h := newHarness(t)
 	wg, err := NewWriterGroup(h.net, h.dir, "errs", 1, Options{}, nil)

@@ -2,9 +2,7 @@ package core
 
 import (
 	"encoding/json"
-	"fmt"
 
-	"flexio/internal/dcplugin"
 	"flexio/internal/evpath"
 	"flexio/internal/monitor"
 )
@@ -71,44 +69,4 @@ func (g *ReaderGroup) WriterReport() (rep monitor.Report, step int64, ok bool) {
 		return monitor.Report{}, 0, false
 	}
 	return *g.writerReport, g.writerReportStep, true
-}
-
-// PluginSide names where AutoDeployPlugin decided a codelet should run.
-type PluginSide string
-
-const (
-	WriterSide PluginSide = "writer"
-	ReaderSide PluginSide = "reader"
-)
-
-// AutoDeployPlugin is the runtime-management policy the paper sketches:
-// it reads the writer side's monitoring report and places the
-// data-conditioning plug-in where it saves the most — into the writers'
-// address space when the observed per-step stream volume exceeds
-// bytesPerStepThreshold (condition data *before* it crosses the
-// transport), on the reader side otherwise (keep the simulation's cores
-// untouched). It requires at least one report; call after a step has
-// been consumed.
-func (g *ReaderGroup) AutoDeployPlugin(p dcplugin.Plugin, bytesPerStepThreshold int64) (PluginSide, error) {
-	rep, step, ok := g.WriterReport()
-	if !ok {
-		return "", fmt.Errorf("core: no writer monitoring report yet")
-	}
-	steps := step + 1
-	if steps <= 0 {
-		steps = 1
-	}
-	perStep := rep.Volumes["data.bytes"] / steps
-	if perStep > bytesPerStepThreshold {
-		if err := g.DeployPluginToWriters(p); err != nil {
-			return "", err
-		}
-		return WriterSide, nil
-	}
-	filter, err := p.Filter()
-	if err != nil {
-		return "", err
-	}
-	g.InstallNamedPlugin(p.Name, filter)
-	return ReaderSide, nil
 }

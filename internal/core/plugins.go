@@ -16,13 +16,11 @@ import (
 // travels over the coordinator connection — a channel separate from the
 // ones used for data movement — is compiled on the writer side, and from
 // then on conditions every outgoing event before it reaches a transport.
-// Plug-ins can likewise be removed at runtime, so a codelet can be
-// migrated between the two sides mid-run ("they can be migrated across
-// address spaces at runtime").
+// A codelet can likewise be migrated between the two sides mid-run
+// ("they can be migrated across address spaces at runtime").
 
 const (
 	msgDeployPlugin = "deploy-plugin"
-	msgRemovePlugin = "remove-plugin"
 	msgPluginAck    = "plugin-ack"
 )
 
@@ -48,19 +46,6 @@ func (w *writerPlugins) install(name string, fn evpath.FilterFunc) {
 		}
 	}
 	w.entries = append(w.entries, writerPluginEntry{name: name, fn: fn})
-}
-
-// remove deletes a named plug-in; it reports whether it existed.
-func (w *writerPlugins) remove(name string) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for i := range w.entries {
-		if w.entries[i].name == name {
-			w.entries = append(w.entries[:i], w.entries[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // empty reports whether no codelet is installed — the data path checks
@@ -90,30 +75,21 @@ func (w *writerPlugins) apply(ev *evpath.Event) (*evpath.Event, error) {
 	return ev, nil
 }
 
-// handlePluginControl processes a deploy/remove request on the writer
+// handlePluginControl processes a deploy request on the writer
 // coordinator and returns the ack event to send back.
 func (g *WriterGroup) handlePluginControl(ev *evpath.Event) *evpath.Event {
-	kind, _ := ev.Meta.GetString("kind")
 	name, _ := ev.Meta.GetString("name")
+	src, _ := ev.Meta.GetString("source")
 	ack := evpath.Record{"kind": msgPluginAck, "name": name, "ok": true}
-	switch kind {
-	case msgDeployPlugin:
-		src, _ := ev.Meta.GetString("source")
-		filter, err := dcplugin.Plugin{Name: name, Source: src}.Filter()
-		if err != nil {
-			ack["ok"] = false
-			ack["error"] = err.Error()
-			break
-		}
-		g.plugins.install(name, filter)
-		if g.mon != nil {
-			g.mon.Incr("dc.writer.installed", 1)
-		}
-	case msgRemovePlugin:
-		if !g.plugins.remove(name) {
-			ack["ok"] = false
-			ack["error"] = fmt.Sprintf("core: no writer plug-in %q", name)
-		}
+	filter, err := dcplugin.Plugin{Name: name, Source: src}.Filter()
+	if err != nil {
+		ack["ok"] = false
+		ack["error"] = err.Error()
+		return &evpath.Event{Meta: ack}
+	}
+	g.plugins.install(name, filter)
+	if g.mon != nil {
+		g.mon.Incr("dc.writer.installed", 1)
 	}
 	return &evpath.Event{Meta: ack}
 }
@@ -133,12 +109,6 @@ func (g *ReaderGroup) DeployPluginToWriters(p dcplugin.Plugin) error {
 	return g.pluginControl(evpath.Record{
 		"kind": msgDeployPlugin, "name": p.Name, "source": p.Source,
 	}, p.Name)
-}
-
-// RemoveWriterPlugin uninstalls a previously deployed plug-in from the
-// writer side.
-func (g *ReaderGroup) RemoveWriterPlugin(name string) error {
-	return g.pluginControl(evpath.Record{"kind": msgRemovePlugin, "name": name}, name)
 }
 
 // MigratePluginToWriters moves a conditioning step from the reader's

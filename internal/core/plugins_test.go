@@ -126,44 +126,6 @@ func TestDeployPluginCompileErrorRejected(t *testing.T) {
 	}
 }
 
-func TestRemoveWriterPlugin(t *testing.T) {
-	wg, rg, rd := startPGStream(t, "deploy-rm", 1, nil)
-	if err := rg.DeployPluginToWriters(dcplugin.SamplePlugin(4)); err != nil {
-		t.Fatal(err)
-	}
-	payload := make([]float64, 40)
-	done := writeStep(t, wg, 0, payload)
-	if _, ok := rd.BeginStep(); !ok {
-		t.Fatal("no step 0")
-	}
-	<-done
-	g0, _ := rd.ReadProcessGroups("p")
-	if n := len(dcplugin.BytesToFloats(g0[0])); n != 10 {
-		t.Fatalf("step 0 should be sampled: %d values", n)
-	}
-	rd.EndStep()
-
-	if err := rg.RemoveWriterPlugin("sample-1of4"); err != nil {
-		t.Fatal(err)
-	}
-	done1 := writeStep(t, wg, 1, payload)
-	if _, ok := rd.BeginStep(); !ok {
-		t.Fatal("no step 1")
-	}
-	<-done1
-	g1, _ := rd.ReadProcessGroups("p")
-	if n := len(dcplugin.BytesToFloats(g1[0])); n != 40 {
-		t.Fatalf("step 1 should be unconditioned after removal: %d values", n)
-	}
-	rd.EndStep()
-
-	if err := rg.RemoveWriterPlugin("sample-1of4"); err == nil {
-		t.Fatal("removing a missing plug-in must error")
-	}
-	wg.Close()
-	rg.Close()
-}
-
 func TestMigratePluginToWriters(t *testing.T) {
 	wg, rg, rd := startPGStream(t, "migrate", 1, nil)
 	p := dcplugin.SamplePlugin(2)
@@ -404,61 +366,5 @@ func TestWriterMonitorReportShipped(t *testing.T) {
 		t.Fatalf("report missing stream volume: %+v", rep.Volumes)
 	}
 	wg.Close()
-	rg.Close()
-}
-
-func TestAutoDeployPluginPlacement(t *testing.T) {
-	// High-volume stream -> the policy conditions at the writer side.
-	wm := monitor.New("writers")
-	wg, rg, rd := startPGStream(t, "autodeploy", 1, wm)
-	payload := make([]float64, 4096)
-	done := writeStep(t, wg, 0, payload)
-	if _, ok := rd.BeginStep(); !ok {
-		t.Fatal("no step")
-	}
-	<-done
-	rd.EndStep()
-	for i := 0; i < 200; i++ {
-		if _, _, ok := rg.WriterReport(); ok {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	side, err := rg.AutoDeployPlugin(dcplugin.SamplePlugin(4), 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if side != WriterSide {
-		t.Fatalf("high-volume stream should deploy writer-side, got %s", side)
-	}
-	// Next step arrives conditioned at the source.
-	done1 := writeStep(t, wg, 1, payload)
-	if _, ok := rd.BeginStep(); !ok {
-		t.Fatal("no step 1")
-	}
-	<-done1
-	g1, _ := rd.ReadProcessGroups("p")
-	if n := len(dcplugin.BytesToFloats(g1[0])); n != 1024 {
-		t.Fatalf("auto-deployed sampling missing: %d values", n)
-	}
-	rd.EndStep()
-
-	// A tiny stream keeps conditioning on the reader side.
-	side2, err := rg.AutoDeployPlugin(dcplugin.Plugin{Name: "annot", Source: `setstr("a","b");`}, 1<<40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if side2 != ReaderSide {
-		t.Fatalf("low-volume stream should stay reader-side, got %s", side2)
-	}
-	wg.Close()
-	rg.Close()
-}
-
-func TestAutoDeployWithoutReport(t *testing.T) {
-	_, rg, _ := startPGStream(t, "autodeploy-none", 1, nil)
-	if _, err := rg.AutoDeployPlugin(dcplugin.SamplePlugin(2), 0); err == nil {
-		t.Fatal("AutoDeployPlugin without a report must error")
-	}
 	rg.Close()
 }

@@ -57,7 +57,6 @@ type ReaderGroup struct {
 	connCnt   map[uint64]int
 	eofCnt    map[uint64]int
 	dataConns []epochConn
-	dists     map[string]distInfo // latest writer distribution per var
 	plugins   []pluginEntry
 	// deployed tracks plug-ins shipped into the writers' address space so
 	// a reconfiguration can re-ship them to the new peer set.
@@ -95,15 +94,6 @@ type epochConn struct {
 type pluginEntry struct {
 	name string
 	fn   evpath.FilterFunc
-}
-
-// distInfo is the writer-side distribution observed via the coordinator
-// (handshake Steps 2-3, reader's view).
-type distInfo struct {
-	step     int64
-	ndims    int
-	elemSize int
-	boxes    []ndarray.Box
 }
 
 // readerStep accumulates arriving pieces for one timestep.
@@ -199,7 +189,6 @@ func NewReaderGroupOpts(net *evpath.Net, dir directory.Directory, stream string,
 		dataEpoch: 1,
 		connCnt:   make(map[uint64]int),
 		eofCnt:    make(map[uint64]int),
-		dists:     make(map[string]distInfo),
 		replay:    make(map[int64]*replayStep),
 		upPlans:   make(map[upKey][]upEntry),
 		asmPool:   shm.NewBufferPool(0),
@@ -822,21 +811,6 @@ func (r *Reader) ReadProcessGroups(name string) (map[int][]byte, error) {
 		}
 	}
 	return out, nil
-}
-
-// WriterDistribution exposes the writer-side distribution the coordinator
-// received for a variable (empty result before the first handshake).
-// Analytics uses it for re-distribution planning and monitoring.
-func (g *ReaderGroup) WriterDistribution(name string) ([]ndarray.Box, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	d, ok := g.dists[name]
-	if !ok {
-		return nil, false
-	}
-	out := make([]ndarray.Box, len(d.boxes))
-	copy(out, d.boxes)
-	return out, true
 }
 
 // EndStep releases the current step's buffered pieces for this rank:

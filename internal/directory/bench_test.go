@@ -8,16 +8,15 @@ import (
 
 // Lookup benchmarks for the sharded in-memory directory. The directory
 // sits on the discovery path of every stream bootstrap and rank-host
-// dial, so lookups must stay cheap as tenants multiply; the single-
-// threaded ns/op is gated by TestDirectoryLookupBudget against the
-// budget recorded in BENCH_directory.json.
+// dial, so lookups must stay cheap as tenants multiply; TestGates holds
+// the single-threaded lookup to its bound in gates.json.
 
 const (
 	benchTenants = 64
 	benchStreams = 64
 )
 
-func benchDir(b *testing.B) (*Mem, []string) {
+func benchDir(b testing.TB) (*Mem, []string) {
 	b.Helper()
 	m := NewMem()
 	keys := make([]string, 0, benchTenants*benchStreams)
@@ -36,18 +35,25 @@ func benchDir(b *testing.B) (*Mem, []string) {
 
 var sinkStr string
 
+// lookups runs n single-threaded lookups, round-robin over keys.
+func lookups(tb testing.TB, m *Mem, keys []string) func(n int) {
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			c, err := m.Lookup(keys[i%len(keys)])
+			if err != nil {
+				tb.Fatal(err)
+			}
+			sinkStr = c
+		}
+	}
+}
+
 func BenchmarkDirectoryLookup(b *testing.B) {
 	m, keys := benchDir(b)
 	defer m.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := m.Lookup(keys[i%len(keys)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkStr = c
-	}
+	lookups(b, m, keys)(b.N)
 }
 
 // BenchmarkDirectoryLookupParallel exercises the lock striping: lookups

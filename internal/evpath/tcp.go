@@ -453,8 +453,8 @@ func (st *tcpState) sendLatency() time.Duration {
 }
 
 // bumpTX/bumpRX account one data message's on-wire bytes — the whole
-// per-send accounting when no journal is attached, gated by
-// TestTCPStatsNopBudget.
+// per-send accounting when no journal is attached, held to its bound in
+// gates.json by TestGates.
 func (st *tcpState) bumpTX(wireBytes int) {
 	atomic.AddUint64(&st.ctr.msgsTX, 1)
 	atomic.AddUint64(&st.ctr.bytesTX, uint64(wireBytes))

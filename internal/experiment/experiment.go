@@ -113,7 +113,7 @@ var Registry = map[string]Driver{
 	"fig9b":     {"S3D analytics placement sweep on Titan (paper Fig. 9b)", plain(func() (*Figure, error) { return Fig9("Titan") })},
 	"s3dtune":   {"S3D helper-core thread tuning table", plain(S3DTuning)},
 	"claims":    {"headline paper claims checked against the model", plain(Claims)},
-	"reconfig":  {"mid-run reader regrouping drill with drain-time budgets", plain(func() (*Figure, error) { return ReconfigBench("BENCH_reconfig.json") })},
+	"reconfig":  {"mid-run reader regrouping drill: writer drain and reader wall time per N -> N' delta", plain(ReconfigBench)},
 	"trace":     {"one-record-stream drill: traced live stream + coupled critical paths, emitting trace/metrics/journal/critpath JSON", func(o Options) (*Figure, error) { return TraceRun(".", o.MetricsAddr) }},
 	"replay":    {"deterministic replay divergence check", func(o Options) (*Figure, error) { return ReplayRun(o.Perturb) }},
 	"multiproc": {"multi-process deployment drill over TCP (directory server + flexnode daemons)", plain(Multiproc)},

@@ -205,7 +205,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestReconfigBenchRuns(t *testing.T) {
-	fig, err := ReconfigBench("") // no artifact in tests
+	fig, err := ReconfigBench()
 	if err != nil {
 		t.Fatal(err)
 	}

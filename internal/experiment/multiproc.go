@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"flexio/internal/directory"
@@ -167,8 +169,13 @@ func roleConfigFromEnv() (flexnode.RoleConfig, error) {
 }
 
 // multiprocTimeout bounds the whole deployment; a wedged child must not
-// hang `make ci`.
-const multiprocTimeout = 90 * time.Second
+// hang `make ci`. A child still running at the deadline gets SIGQUIT, so
+// the Go runtime prints its goroutine dump, and is killed if it has not
+// exited dumpGrace later.
+const (
+	multiprocTimeout = 90 * time.Second
+	dumpGrace        = 5 * time.Second
+)
 
 type mpChild struct {
 	name string
@@ -183,6 +190,8 @@ func spawnChild(ctx context.Context, exe, name string, env []string) *mpChild {
 	c.cmd.Env = append(os.Environ(), env...)
 	c.cmd.Stdout = &c.out
 	c.cmd.Stderr = &c.out
+	c.cmd.Cancel = func() error { return c.cmd.Process.Signal(syscall.SIGQUIT) }
+	c.cmd.WaitDelay = dumpGrace
 	if err := c.cmd.Start(); err != nil {
 		c.done <- err
 		return c
@@ -245,10 +254,10 @@ func Multiproc() (*Figure, error) {
 	select {
 	case dirAddr = <-addrCh:
 	case <-ctx.Done():
-		return nil, fmt.Errorf("multiproc: dirserver handshake timed out: %s", dsErr.String())
 	}
 	if dirAddr == "" {
-		return nil, fmt.Errorf("multiproc: dirserver exited before ADDR: %s", dsErr.String())
+		ds.Wait() //nolint:errcheck // only so that dsErr is complete
+		return nil, fmt.Errorf("multiproc: dirserver gave no ADDR (exited or timed out): %s", dsErr.String())
 	}
 
 	base := []string{
@@ -272,14 +281,21 @@ func Multiproc() (*Figure, error) {
 		node("reader-leader", "rl", "0", mpPluginEnv+`=setstr("deployed-by","flexnode");`),
 		node("reader-worker", "rw", "1"),
 	}
-	for _, c := range children {
+	for i, c := range children {
 		select {
 		case err := <-c.done:
 			if err != nil {
 				return nil, fmt.Errorf("multiproc: %s: %w\n%s", c.name, err, c.out.String())
 			}
 		case <-ctx.Done():
-			return nil, fmt.Errorf("multiproc: %s timed out\n%s", c.name, c.out.String())
+			// Each child's output is complete, dump included, only once
+			// its Wait has returned.
+			msg := "multiproc: " + c.name + " timed out"
+			for _, c := range children[i:] {
+				<-c.done
+				msg += fmt.Sprintf("\n--- %s\n%s", c.name, c.out.String())
+			}
+			return nil, errors.New(msg)
 		}
 	}
 

@@ -1,9 +1,7 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -14,30 +12,26 @@ import (
 	"flexio/internal/ndarray"
 )
 
-// ReconfigRow is one measured mid-run reconfiguration, archived in
-// BENCH_reconfig.json.
-type ReconfigRow struct {
-	Scenario string `json:"scenario"`
-	OldN     int    `json:"old_n"`
-	NewN     int    `json:"new_n"`
+// reconfigRow is one measured mid-run reconfiguration.
+type reconfigRow struct {
 	// DrainNs is the writer-observed quiesce time: request arrival to
 	// application at the next step boundary (the session's
 	// reconfig.drain_ns counter).
-	DrainNs int64 `json:"drain_ns"`
+	DrainNs int64
 	// ReconfigWallNs is the reader-observed wall time of the whole switch:
 	// request, ack, replay capture, re-listen, plug-in re-ship.
-	ReconfigWallNs int64 `json:"reconfig_wall_ns"`
+	ReconfigWallNs int64
 	// Epoch is the session epoch after the switch (always 2 here:
 	// exactly one reconfiguration per scenario).
-	Epoch uint64 `json:"epoch"`
+	Epoch uint64
 }
 
 // reconfigScenario runs a real 2-writer core stream end to end: three
 // steps to oldN readers, a Reconfigure to newN ranks (new decomposition,
 // new node placement), three more steps, then EOS. It returns the
 // measured drain and wall costs.
-func reconfigScenario(name string, oldN, newN int, nodes []int) (ReconfigRow, error) {
-	row := ReconfigRow{Scenario: name, OldN: oldN, NewN: newN}
+func reconfigScenario(name string, oldN, newN int, nodes []int) (reconfigRow, error) {
+	var row reconfigRow
 	const nw, pre, post = 2, 3, 3
 	// Off-node ranks cross a loopback socket of the one process's Net.
 	net := evpath.NewNet(nil)
@@ -201,9 +195,8 @@ func reconfigScenario(name string, oldN, newN int, nodes []int) (ReconfigRow, er
 
 // ReconfigBench measures mid-run reconfiguration cost on real core
 // streams across N -> N' deltas (selection change only, grow, shrink,
-// placement move). When path is non-empty the rows are archived there as
-// JSON (the BENCH_reconfig.json artifact).
-func ReconfigBench(path string) (*Figure, error) {
+// placement move).
+func ReconfigBench() (*Figure, error) {
 	scenarios := []struct {
 		name       string
 		oldN, newN int
@@ -222,13 +215,11 @@ func ReconfigBench(path string) (*Figure, error) {
 	}
 	drain := Series{Label: "writer drain (request -> boundary)"}
 	wall := Series{Label: "reader wall (request -> streaming)"}
-	rows := make([]ReconfigRow, 0, len(scenarios))
 	for i, sc := range scenarios {
 		row, err := reconfigScenario(sc.name, sc.oldN, sc.newN, sc.nodes)
 		if err != nil {
 			return nil, fmt.Errorf("reconfig %s: %w", sc.name, err)
 		}
-		rows = append(rows, row)
 		x := float64(i)
 		drain.X = append(drain.X, x)
 		drain.Y = append(drain.Y, float64(row.DrainNs)/1e3)
@@ -238,16 +229,5 @@ func ReconfigBench(path string) (*Figure, error) {
 			i, sc.name, sc.oldN, sc.newN, row.Epoch))
 	}
 	fig.Series = append(fig.Series, drain, wall)
-
-	if path != "" {
-		blob, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		fig.Notes = append(fig.Notes, "rows archived in "+path)
-	}
 	return fig, nil
 }

@@ -1,0 +1,5 @@
+//go:build race
+
+package gate
+
+const raceEnabled = true

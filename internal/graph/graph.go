@@ -89,17 +89,12 @@ func (g *Graph) CutCost(part []int) float64 {
 	return cut
 }
 
-// PartitionBalanced splits the vertex subset `verts` into k parts with the
-// given capacities (len(capacities) == k, sum >= len(verts)), minimizing
-// the weighted cut heuristically. It returns part[i] for each verts[i].
-// All vertices have unit size; see PartitionWeighted for sized vertices.
-func PartitionBalanced(g *Graph, verts []int, capacities []int) ([]int, error) {
-	return PartitionWeighted(g, verts, nil, capacities)
-}
-
-// PartitionWeighted is PartitionBalanced with per-vertex sizes: vertex
-// verts[i] consumes sizes[i] units of a part's capacity (processes with
-// multiple OpenMP threads occupy several cores). nil sizes means all 1.
+// PartitionWeighted splits the vertex subset `verts` into k parts with the
+// given capacities (len(capacities) == k, enough in total for every
+// vertex's size), minimizing the weighted cut
+// heuristically. It returns part[i] for each verts[i]. Vertex verts[i]
+// consumes sizes[i] units of a part's capacity (processes with multiple
+// OpenMP threads occupy several cores); nil sizes means all 1.
 //
 // Algorithm: greedy seeded growth — repeatedly place the unassigned
 // vertex with the strongest connection to any part that still fits it
@@ -295,10 +290,4 @@ func refineMoves(g *Graph, verts []int, sizes, part, load, capacities []int, k i
 			return
 		}
 	}
-}
-
-// Bisect splits verts into two parts of sizes (ceil(n/2), floor(n/2)).
-func Bisect(g *Graph, verts []int) ([]int, error) {
-	n := len(verts)
-	return PartitionBalanced(g, verts, []int{(n + 1) / 2, n / 2})
 }

@@ -58,7 +58,7 @@ func TestBisectRing(t *testing.T) {
 	// must find a contiguous split.
 	g := ring(8, 1)
 	verts := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	part, err := Bisect(g, verts)
+	part, err := PartitionWeighted(g, verts, nil, []int{4, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func partFull(part []int, verts []int, n int) []int {
 func TestPartitionCapacities(t *testing.T) {
 	g := New(6)
 	verts := []int{0, 1, 2, 3, 4, 5}
-	part, err := PartitionBalanced(g, verts, []int{2, 2, 2})
+	part, err := PartitionWeighted(g, verts, nil, []int{2, 2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +106,13 @@ func TestPartitionCapacities(t *testing.T) {
 
 func TestPartitionErrors(t *testing.T) {
 	g := New(4)
-	if _, err := PartitionBalanced(g, []int{0, 1}, nil); err == nil {
+	if _, err := PartitionWeighted(g, []int{0, 1}, nil, nil); err == nil {
 		t.Error("zero parts must error")
 	}
-	if _, err := PartitionBalanced(g, []int{0, 1, 2}, []int{1, 1}); err == nil {
+	if _, err := PartitionWeighted(g, []int{0, 1, 2}, nil, []int{1, 1}); err == nil {
 		t.Error("insufficient capacity must error")
 	}
-	if _, err := PartitionBalanced(g, []int{0}, []int{-1, 2}); err == nil {
+	if _, err := PartitionWeighted(g, []int{0}, nil, []int{-1, 2}); err == nil {
 		t.Error("negative capacity must error")
 	}
 }
@@ -127,7 +127,7 @@ func TestPartitionKeepsCliquesTogether(t *testing.T) {
 		g.AddEdge(c[0], c[2], 10)
 	}
 	g.AddEdge(2, 3, 1) // bridge
-	part, err := PartitionBalanced(g, []int{0, 1, 2, 3, 4, 5}, []int{3, 3})
+	part, err := PartitionWeighted(g, []int{0, 1, 2, 3, 4, 5}, nil, []int{3, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestPartitionCoupledPairs(t *testing.T) {
 	for i := range caps {
 		caps[i] = 2
 	}
-	part, err := PartitionBalanced(g, verts, caps)
+	part, err := PartitionWeighted(g, verts, nil, caps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestPartitionRespectsCapacityProperty(t *testing.T) {
 		for i := range verts {
 			verts[i] = i
 		}
-		part, err := PartitionBalanced(g, verts, caps)
+		part, err := PartitionWeighted(g, verts, nil, caps)
 		if err != nil {
 			return false
 		}
@@ -233,7 +233,7 @@ func TestRefinementImprovesBadSeed(t *testing.T) {
 	for i := range verts {
 		verts[i] = i
 	}
-	part, err := PartitionBalanced(g, verts, []int{12, 12})
+	part, err := PartitionWeighted(g, verts, nil, []int{12, 12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,8 @@ import "testing"
 
 // The Nop fast path: a nil *Monitor must cost ~nothing, so instrumented
 // code can stay instrumented in production builds. The data path's
-// per-stage recorder call is gated in internal/flight
-// (TestFlightNopOverheadBudget); these measure the aggregate calls.
+// per-stage recorder call is gated in internal/flight (TestGates); these
+// measure the aggregate calls.
 
 var sinkU uint64
 

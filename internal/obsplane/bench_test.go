@@ -45,16 +45,23 @@ func benchCollector(nDaemons, eventsEach int) *Collector {
 // BenchmarkCollectorMerge measures one fleet snapshot — merging every
 // daemon's report and stitching the accumulated events into the step
 // table — over an 8-daemon, 16k-event fleet. This is the per-sweep
-// steady-state cost of the collector, gated in CI by
-// TestObsplaneMergeBudget against BENCH_obsplane.json.
+// steady-state cost of the collector, which TestGates holds to its bound
+// in gates.json.
 func BenchmarkCollectorMerge(b *testing.B) {
-	c := benchCollector(8, 2048)
+	op := snapshots(b, benchCollector(8, 2048))
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snap := c.Snapshot()
-		if len(snap.Steps) == 0 || len(snap.Report.Timings) == 0 {
-			b.Fatal("empty snapshot")
+	op(b.N)
+}
+
+// snapshots takes n fleet snapshots of c.
+func snapshots(tb testing.TB, c *Collector) func(n int) {
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			snap := c.Snapshot()
+			if len(snap.Steps) == 0 || len(snap.Report.Timings) == 0 {
+				tb.Fatal("empty snapshot")
+			}
 		}
 	}
 }

@@ -113,17 +113,3 @@ func (p *BufferPool) Stats() PoolStats {
 	defer p.mu.Unlock()
 	return p.stats
 }
-
-// Reclaim drops all free buffers, returning the number of bytes released.
-func (p *BufferPool) Reclaim() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	released := p.stats.BytesFree
-	for c := range p.free {
-		p.stats.Reclaims += int64(len(p.free[c]))
-		delete(p.free, c)
-	}
-	p.classes = p.classes[:0]
-	p.stats.BytesFree = 0
-	return released
-}

@@ -72,23 +72,6 @@ func TestPoolThresholdReclaims(t *testing.T) {
 	}
 }
 
-func TestPoolExplicitReclaim(t *testing.T) {
-	p := NewBufferPool(0)
-	b, _ := p.Get(512)
-	p.Put(b)
-	if released := p.Reclaim(); released != 512 {
-		t.Fatalf("Reclaim released %d, want 512", released)
-	}
-	if p.Stats().BytesFree != 0 {
-		t.Fatal("free bytes must be zero after Reclaim")
-	}
-	// Next Get must allocate fresh.
-	p.Get(512)
-	if p.Stats().Allocs != 2 {
-		t.Fatalf("Allocs = %d, want 2", p.Stats().Allocs)
-	}
-}
-
 func TestPoolAccountingProperty(t *testing.T) {
 	// BytesInUse + BytesFree is consistent under any Get/Put sequence.
 	f := func(ops []uint16) bool {

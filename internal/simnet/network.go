@@ -47,14 +47,6 @@ func NewMachineNet(eng *Engine, m *machine.Machine) *MachineNet {
 	return n
 }
 
-// TransferInterNode moves bytes from srcNode to dstNode over the
-// interconnect, respecting injection, ejection, and bisection contention
-// plus the point-to-point link cap. done receives the completion time.
-func (n *MachineNet) TransferInterNode(srcNode, dstNode int, bytes float64, done func(t float64)) {
-	res := []*Resource{n.TX[srcNode], n.RX[dstNode], n.Bisection}
-	n.Fluid.StartFlow(bytes, n.M.Net.Latency, n.M.Net.LinkBandwidth, res, done)
-}
-
 // TransferIntraNode moves bytes inside a node through the memory system.
 // sameNUMA selects the intra- vs. inter-NUMA bandwidth cap and latency,
 // reflecting the paper's NUMA-aware buffer placement concerns.
@@ -74,26 +66,4 @@ func (n *MachineNet) TransferIntraNode(node int, sameNUMA bool, bytes float64, d
 func (n *MachineNet) TransferToFS(srcNode int, bytes float64, done func(t float64)) {
 	res := []*Resource{n.TX[srcNode], n.Bisection, n.FS}
 	n.Fluid.StartFlow(bytes, n.M.Net.Latency+n.M.FS.OpenCost, n.M.FS.PerClientBandwidth, res, done)
-}
-
-// TransferFromFS reads bytes from the file system to a node.
-func (n *MachineNet) TransferFromFS(dstNode int, bytes float64, done func(t float64)) {
-	res := []*Resource{n.RX[dstNode], n.Bisection, n.FS}
-	n.Fluid.StartFlow(bytes, n.M.Net.Latency+n.M.FS.OpenCost, n.M.FS.PerClientBandwidth, res, done)
-}
-
-// SmallMessageCost returns the modeled one-way cost of a small control
-// message (handshake traffic) between two cores, without engaging the
-// fluid model: latency-dominated costs don't contend measurably.
-func (n *MachineNet) SmallMessageCost(coreA, coreB int) float64 {
-	switch {
-	case coreA == coreB:
-		return 0
-	case n.M.SameNUMA(coreA, coreB):
-		return n.M.Node.IntraNUMALatency
-	case n.M.SameNode(coreA, coreB):
-		return n.M.Node.InterNUMALatency
-	default:
-		return n.M.Net.Latency
-	}
 }

@@ -7,41 +7,6 @@ import (
 	"flexio/internal/machine"
 )
 
-func TestMachineNetInterNode(t *testing.T) {
-	m := machine.Titan(4)
-	e := NewEngine()
-	n := NewMachineNet(e, m)
-	var f float64
-	bytes := 100.0e6
-	n.TransferInterNode(0, 1, bytes, func(t float64) { f = t })
-	e.Run(0)
-	want := m.Net.Latency + bytes/m.Net.LinkBandwidth
-	if math.Abs(f-want)/want > 1e-6 {
-		t.Fatalf("finish = %g, want %g", f, want)
-	}
-}
-
-func TestMachineNetInjectionContention(t *testing.T) {
-	// Two flows out of node 0 to different destinations contend on node
-	// 0's injection bandwidth.
-	m := machine.Titan(4)
-	e := NewEngine()
-	n := NewMachineNet(e, m)
-	bytes := 100.0e6
-	var f1, f2 float64
-	n.TransferInterNode(0, 1, bytes, func(t float64) { f1 = t })
-	n.TransferInterNode(0, 2, bytes, func(t float64) { f2 = t })
-	e.Run(0)
-	share := m.Net.InjectionBandwidth / 2
-	if share > m.Net.LinkBandwidth {
-		share = m.Net.LinkBandwidth
-	}
-	want := m.Net.Latency + bytes/share
-	if math.Abs(f1-want)/want > 1e-6 || math.Abs(f2-want)/want > 1e-6 {
-		t.Fatalf("finishes = %g, %g; want %g", f1, f2, want)
-	}
-}
-
 func TestMachineNetIntraNodeNUMA(t *testing.T) {
 	m := machine.Smoky(2)
 	e := NewEngine()
@@ -71,13 +36,6 @@ func TestMachineNetFS(t *testing.T) {
 	if math.Abs(f-want)/want > 1e-6 {
 		t.Fatalf("FS write = %g, want %g", f, want)
 	}
-	// Read path exists too.
-	var r float64
-	n.TransferFromFS(1, bytes, func(t float64) { r = t })
-	e.Run(0)
-	if r <= f {
-		t.Fatalf("FS read should complete after being started later (t=%g)", r)
-	}
 }
 
 func TestMachineNetFSAggregateCeiling(t *testing.T) {
@@ -105,18 +63,5 @@ func TestMachineNetFSAggregateCeiling(t *testing.T) {
 	}
 	if last < ideal {
 		t.Fatalf("contended time %g cannot beat solo time %g", last, ideal)
-	}
-}
-
-func TestSmallMessageCostOrdering(t *testing.T) {
-	m := machine.Smoky(2)
-	e := NewEngine()
-	n := NewMachineNet(e, m)
-	selfC := n.SmallMessageCost(0, 0)
-	numa := n.SmallMessageCost(0, 1)
-	node := n.SmallMessageCost(0, 5)
-	net := n.SmallMessageCost(0, 17)
-	if !(selfC == 0 && numa > 0 && node > numa && net > node) {
-		t.Fatalf("ordering violated: %g %g %g %g", selfC, numa, node, net)
 	}
 }
