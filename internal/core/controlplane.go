@@ -182,7 +182,7 @@ func (g *WriterGroup) applyPendingReconfig(boundary int64) error {
 	g.planMu.Lock()
 	g.plans = make(map[varPlanKey]*varPlanEntry)
 	g.planMu.Unlock()
-	g.lastDist = make(map[string]string)
+	g.lastDist = make(map[string][]int64)
 	g.sentAnyDist = false
 
 	// Atomic contact re-registration: publishes the (unchanged) coordinator

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -78,7 +79,8 @@ type WriterGroup struct {
 	asyncDone   chan struct{}
 	asyncErr    error
 	asyncErrMu  sync.Mutex
-	lastDist    map[string]string // var -> fingerprint of writer boxes last handshaken
+	lastDist    map[string][]int64 // var -> writer boxes last handshaken (appendBox encoding)
+	curDist     map[string][]int64 // var -> this flush's writer boxes; storage reused by every flush
 	sentAnyDist bool
 
 	// Redistribution plan cache: precompiled pack schedules per
@@ -178,7 +180,8 @@ func NewWriterGroup(net *evpath.Net, dir directory.Directory, stream string, nWr
 		mon:         mon,
 		credits:     newCreditWindow(opts.Tenant, opts.Quota, mon),
 		sess:        newSession("writer", mon),
-		lastDist:    make(map[string]string),
+		lastDist:    make(map[string][]int64),
+		curDist:     make(map[string][]int64),
 		open:        make(map[int64]*pendingStep),
 		plans:       make(map[varPlanKey]*varPlanEntry),
 		payloadPool: shm.NewBufferPool(opts.PoolMaxBytes),
@@ -364,19 +367,16 @@ func (g *WriterGroup) asyncWorker() {
 	}
 }
 
-// distFingerprint summarizes the writer-side distribution of a variable
-// so the caching logic can detect changes (particle counts changing
-// across timesteps force re-handshaking even under CACHING_ALL).
-func distFingerprint(metaByRank map[int][]varData, name string, nWriters int) string {
-	s := ""
-	for w := 0; w < nWriters; w++ {
-		for _, v := range metaByRank[w] {
-			if v.meta.Name == name {
-				s += v.meta.Box.String() + ";"
-			}
-		}
-	}
-	return s
+// appendBox appends one writer box to a variable's distribution record:
+// its rank, then Lo, then Hi, so the record of all writers' boxes in rank
+// order is self-delimiting and two records are equal exactly when the
+// distributions are. The caching logic compares records to detect changes
+// (particle counts changing across timesteps force re-handshaking even
+// under CACHING_ALL).
+func appendBox(rec []int64, b ndarray.Box) []int64 {
+	rec = append(rec, int64(len(b.Lo)))
+	rec = append(rec, b.Lo...)
+	return append(rec, b.Hi...)
 }
 
 // stepTrace carries the correlation attributes every stage opened on one
@@ -422,14 +422,18 @@ func (g *WriterGroup) flush(ps *pendingStep) error {
 	// Collect variable names in deterministic order (gather Step 1.s —
 	// free of cost here because ranks share an address space, but still a
 	// distinct protocol step whose skipping CachingLocal+ records).
+	// The same pass records each variable's writer boxes in rank order.
 	var names []string
 	seen := map[string]bool{}
 	for w := 0; w < g.NWriters; w++ {
 		for _, v := range ps.vars[w] {
-			if !seen[v.meta.Name] {
-				seen[v.meta.Name] = true
-				names = append(names, v.meta.Name)
+			name := v.meta.Name
+			if !seen[name] {
+				seen[name] = true
+				names = append(names, name)
+				g.curDist[name] = g.curDist[name][:0]
 			}
+			g.curDist[name] = appendBox(g.curDist[name], v.meta.Box)
 		}
 	}
 	if g.mon != nil && g.opts.Caching == NoCaching {
@@ -439,8 +443,8 @@ func (g *WriterGroup) flush(ps *pendingStep) error {
 	// Steps 2-3: exchange distribution with the peer coordinator when the
 	// caching level or a distribution change demands it.
 	for _, name := range names {
-		fp := distFingerprint(ps.vars, name, g.NWriters)
-		cached := g.lastDist[name] == fp && g.sentAnyDist
+		cur := g.curDist[name]
+		cached := g.sentAnyDist && slices.Equal(g.lastDist[name], cur)
 		need := false
 		switch g.opts.Caching {
 		case NoCaching:
@@ -454,7 +458,7 @@ func (g *WriterGroup) flush(ps *pendingStep) error {
 			if err := g.sendWriterDist(ps, name); err != nil {
 				return err
 			}
-			g.lastDist[name] = fp
+			g.lastDist[name] = append(g.lastDist[name][:0], cur...)
 		}
 	}
 	g.sentAnyDist = true

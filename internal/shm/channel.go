@@ -53,6 +53,7 @@ type Channel struct {
 	pool *BufferPool
 
 	inlineMax int
+	rxFrame   []byte // consumer-owned: each receive dequeues its frame here
 
 	mu          sync.Mutex
 	outstanding map[uint64]*outEntry
@@ -97,6 +98,7 @@ func NewChannel(entries, inlineMax int, poolMax int64) (*Channel, error) {
 		q:           q,
 		pool:        NewBufferPool(poolMax),
 		inlineMax:   inlineMax,
+		rxFrame:     make([]byte, q.PayloadSize()),
 		outstanding: make(map[uint64]*outEntry),
 	}, nil
 }
@@ -112,11 +114,10 @@ func (c *Channel) Pool() *BufferPool { return c.pool }
 func (c *Channel) Send(msg []byte) bool {
 	c.countSend(len(msg))
 	if len(msg) <= c.inlineMax {
-		frame := make([]byte, ctlHeader+len(msg))
-		frame[0] = msgInline
-		binary.LittleEndian.PutUint64(frame[1:], uint64(len(msg)))
-		copy(frame[ctlHeader:], msg)
-		ok := c.q.Enqueue(frame)
+		var ctl [ctlHeader]byte
+		ctl[0] = msgInline
+		binary.LittleEndian.PutUint64(ctl[1:], uint64(len(msg)))
+		ok := c.q.enqueue(ctl[:], msg)
 		if ok {
 			c.bump(func(s *ChannelStats) { s.InlineSends++; s.CopiedBytes += int64(len(msg)) })
 			c.recordQueueEvent(flight.KindEnqueue, "shm.send.inline", len(msg))
@@ -157,11 +158,10 @@ func (c *Channel) SendHandle(hdr, payload []byte, onRelease func()) error {
 	}
 	c.countSend(len(hdr) + len(payload))
 	id := c.register(&outEntry{buf: payload, onRelease: onRelease})
-	frame := make([]byte, ctlHeader+len(hdr))
-	frame[0] = msgHandle
-	binary.LittleEndian.PutUint64(frame[1:], id)
-	copy(frame[ctlHeader:], hdr)
-	if !c.q.Enqueue(frame) {
+	var ctl [ctlHeader]byte
+	ctl[0] = msgHandle
+	binary.LittleEndian.PutUint64(ctl[1:], id)
+	if !c.q.enqueue(ctl[:], hdr) {
 		c.unregister(id)
 		return ErrClosed
 	}
@@ -198,7 +198,7 @@ func (c *Channel) RecvMsg(dst []byte) (Received, bool) {
 }
 
 func (c *Channel) recvMsg(dst []byte, byRef bool) (Received, bool) {
-	frame := make([]byte, c.q.PayloadSize())
+	frame := c.rxFrame
 	n, ok := c.q.Dequeue(frame)
 	if !ok {
 		return Received{}, false
@@ -236,8 +236,11 @@ func (c *Channel) recvMsg(dst []byte, byRef bool) (Received, bool) {
 		hdr := frame[ctlHeader:n]
 		c.bump(func(s *ChannelStats) { s.CopiedBytes += int64(len(hdr)) })
 		if byRef {
+			// Msg gets its own copy: the frame is reused by the next receive.
+			dst = grow(dst, len(hdr))
+			copy(dst, hdr)
 			c.recordQueueEvent(flight.KindDequeue, "shm.recv.handle", len(e.buf))
-			return Received{Msg: hdr, Payload: e.buf, Release: e.release}, true
+			return Received{Msg: dst, Payload: e.buf, Release: e.release}, true
 		}
 		// Copying consumer: flatten to one contiguous message and release
 		// the producer's buffer right away.

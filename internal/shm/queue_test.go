@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestQueueBasics(t *testing.T) {
@@ -210,4 +213,170 @@ func TestQueueVariableSizeMessages(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// waitFlag polls until a side of q is observed parked: the parked flag is
+// set and stays set until a publish or Close wakes that side. The test
+// deadline, not this loop, bounds a side that never parks.
+func waitFlag(flag *atomic.Bool) {
+	for !flag.Load() {
+		runtime.Gosched()
+	}
+}
+
+// recvWithin fails the test if nothing arrives on ch within a generous
+// bound: a lost wakeup shows as this failure rather than a hung suite.
+func recvWithin[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: parked side never woke", what)
+		panic("unreachable")
+	}
+}
+
+func TestQueueParkedConsumerWokenByEnqueue(t *testing.T) {
+	q, _ := NewQueue(4, 8)
+	got := make(chan string)
+	go func() {
+		buf := make([]byte, 8)
+		n, ok := q.Dequeue(buf)
+		if !ok {
+			n = 0
+		}
+		got <- string(buf[:n])
+	}()
+	waitFlag(&q.consParked)
+	if !q.Enqueue([]byte("wake")) {
+		t.Fatal("enqueue failed")
+	}
+	if s := recvWithin(t, got, "consumer"); s != "wake" {
+		t.Fatalf("parked consumer got %q, want %q", s, "wake")
+	}
+}
+
+func TestQueueParkedProducerWokenByDequeue(t *testing.T) {
+	q, _ := NewQueue(2, 8)
+	q.TryEnqueue([]byte("a"))
+	q.TryEnqueue([]byte("b"))
+	done := make(chan bool)
+	go func() { done <- q.Enqueue([]byte("c")) }()
+	waitFlag(&q.prodParked)
+	buf := make([]byte, 8)
+	if n, ok := q.TryDequeue(buf); !ok || string(buf[:n]) != "a" {
+		t.Fatalf("dequeue = %q, %v", buf[:n], ok)
+	}
+	if !recvWithin(t, done, "producer") {
+		t.Fatal("parked producer's Enqueue reported closed")
+	}
+	for _, want := range []string{"b", "c"} {
+		if n, ok := q.TryDequeue(buf); !ok || string(buf[:n]) != want {
+			t.Fatalf("dequeue = %q, %v; want %q", buf[:n], ok, want)
+		}
+	}
+}
+
+// TestQueueCloseWakesParked parks one side, then closes the queue twice
+// from the other side and from the parked side's own end: Close must wake
+// the sleeper on either end and be safe to repeat.
+func TestQueueCloseWakesParked(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		full   bool // park the producer on a full ring, else the consumer on an empty one
+		closer string
+	}{
+		{"consumer/closed-by-producer", false, "peer"},
+		{"consumer/closed-by-consumer-end", false, "self"},
+		{"producer/closed-by-consumer", true, "peer"},
+		{"producer/closed-by-producer-end", true, "self"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, _ := NewQueue(2, 8)
+			done := make(chan bool)
+			flag := &q.consParked
+			if tc.full {
+				q.TryEnqueue([]byte("a"))
+				q.TryEnqueue([]byte("b"))
+				flag = &q.prodParked
+				go func() { done <- q.Enqueue([]byte("c")) }()
+			} else {
+				go func() {
+					_, ok := q.Dequeue(make([]byte, 8))
+					done <- ok
+				}()
+			}
+			waitFlag(flag)
+			if tc.closer == "self" {
+				// The parked side's end (e.g. a conn closing both of
+				// its channels) calls Close from another goroutine.
+				go q.Close()
+			}
+			q.Close()
+			q.Close()
+			if recvWithin(t, done, tc.name) {
+				t.Fatal("operation on a closed queue reported success")
+			}
+			if tc.full {
+				// Entries enqueued before Close stay receivable.
+				buf := make([]byte, 8)
+				for _, want := range []string{"a", "b"} {
+					if n, ok := q.Dequeue(buf); !ok || string(buf[:n]) != want {
+						t.Fatalf("drain = %q, %v; want %q", buf[:n], ok, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestQueueParkStress moves a long sequence through a capacity-2 ring and
+// forces both sides to park again and again: every parkEvery messages the
+// producer waits until the consumer is observed parked on the empty ring,
+// and half a period later the consumer waits until the producer is
+// observed parked on the full ring. No message may be lost or reordered.
+func TestQueueParkStress(t *testing.T) {
+	const total, parkEvery = 20000, 100
+	q, _ := NewQueue(2, 16)
+	errCh := make(chan error, 1)
+	go func() { // producer
+		msg := make([]byte, 8)
+		for i := 0; i < total; i++ {
+			if i%parkEvery == 0 && i > 0 {
+				waitFlag(&q.consParked)
+			}
+			binary.LittleEndian.PutUint64(msg, uint64(i))
+			if !q.Enqueue(msg) {
+				errCh <- fmt.Errorf("enqueue %d failed", i)
+				return
+			}
+		}
+	}()
+	go func() { // consumer
+		buf := make([]byte, 16)
+		for i := 0; i < total; i++ {
+			if i%parkEvery == parkEvery/2 {
+				waitFlag(&q.prodParked)
+			}
+			n, ok := q.Dequeue(buf)
+			if !ok || n != 8 {
+				errCh <- fmt.Errorf("dequeue %d: n=%d ok=%v", i, n, ok)
+				return
+			}
+			if got := binary.LittleEndian.Uint64(buf); got != uint64(i) {
+				errCh <- fmt.Errorf("order violated at %d: got %d", i, got)
+				return
+			}
+		}
+		errCh <- nil
+	}()
+	select {
+	case err := <-errCh:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("stress run hung: a parked side was never woken")
+	}
 }
