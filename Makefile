@@ -3,8 +3,9 @@ GO ?= go
 .PHONY: check ci fmt vet build test race e2e examples soak reconfig trace replay multiproc fleetobs
 
 ## check: everything a PR must pass — formatting, vet, build, race tests,
-## and the benchmark's smoke test.
-check: fmt vet build race e2e
+## the benchmark's smoke test, and the example programs (the only check
+## that parses the XML configs they embed).
+check: fmt vet build race e2e examples
 
 ## ci: the continuous-integration gate — vet, build, full race-detector
 ## run, the regression gates (every budget is a row of gates.json; run

@@ -24,7 +24,6 @@ const configXML = `
   <io name="demo">
     <engine type="stream">
       <parameter name="caching" value="CACHING_ALL"/>
-      <parameter name="batching" value="true"/>
     </engine>
   </io>
 </adios-config>`

@@ -21,7 +21,6 @@ const testConfigXML = `
   <io name="particles">
     <engine type="stream">
       <parameter name="caching" value="CACHING_ALL"/>
-      <parameter name="batching" value="true"/>
       <parameter name="async" value="true"/>
       <parameter name="queue_depth" value="4"/>
     </engine>
@@ -44,7 +43,7 @@ func TestParseConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !opts.Batching || !opts.Async || opts.AsyncQueueDepth != 4 {
+	if opts.Caching != core.CachingAll || !opts.Async || opts.AsyncQueueDepth != 4 {
 		t.Fatalf("opts = %+v", opts)
 	}
 	if cfg.IOs["restart"].Engine != "file" {
@@ -66,7 +65,7 @@ func TestParseConfigErrors(t *testing.T) {
 	}
 	badParams := []string{
 		`<parameter name="caching" value="SOMETIMES"/>`,
-		`<parameter name="batching" value="maybe"/>`,
+		`<parameter name="batching" value="true"/>`, // the retired live-plane batching
 		`<parameter name="async" value="?"/>`,
 		`<parameter name="queue_depth" value="0"/>`,
 		`<parameter name="transport" value="carrier-pigeon"/>`,
@@ -229,7 +228,7 @@ func TestFileEngineRoundTrip(t *testing.T) {
 
 func TestConfiguredStreamEngine(t *testing.T) {
 	ctx := newTestContext(t, testConfigXML)
-	runEngineRoundTrip(t, ctx, "particles") // CACHING_ALL + batching + async
+	runEngineRoundTrip(t, ctx, "particles") // CACHING_ALL + async
 }
 
 // TestConfiguredTCPTransport selects the wire by config alone: every

@@ -3,7 +3,7 @@
 // read/write API over named IO groups, with the I/O *method* selected
 // through an external XML configuration file — so applications switch
 // between file I/O and FlexIO's online stream transports, or tune
-// transport parameters (caching, batching, async), without touching
+// transport parameters (caching, async, transport), without touching
 // source code. "A one-line update to the configuration file is
 // sufficient to switch between file I/O and online data movement."
 //
@@ -37,7 +37,7 @@ type Config struct {
 type IOConfig struct {
 	Name   string
 	Engine string            // "stream" or "file"
-	Params map[string]string // engine hints (caching, batching, async, ...)
+	Params map[string]string // engine hints (caching, async, queue_depth, transport)
 }
 
 type xmlConfig struct {
@@ -111,12 +111,6 @@ func (c *IOConfig) coreOptions() (core.Options, error) {
 			default:
 				return opts, fmt.Errorf("adios: io %q: bad caching %q", c.Name, v)
 			}
-		case "batching":
-			b, err := strconv.ParseBool(v)
-			if err != nil {
-				return opts, fmt.Errorf("adios: io %q: bad batching %q", c.Name, v)
-			}
-			opts.Batching = b
 		case "async":
 			b, err := strconv.ParseBool(v)
 			if err != nil {

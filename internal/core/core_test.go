@@ -77,7 +77,7 @@ func runMxNSplit(t *testing.T, nw, nr int, opts Options, steps int) (wmon, rmon 
 	rdec, _ := ndarray.BlockDecompose(shape, ndarray.FactorGrid(nr, 2))
 	wm := monitor.New("writers")
 	rm := monitor.New("readers")
-	stream := fmt.Sprintf("mxn-%d-%d-%d-%v-%v", nw, nr, opts.Caching, opts.Batching, opts.Async)
+	stream := fmt.Sprintf("mxn-%d-%d-%d-%v", nw, nr, opts.Caching, opts.Async)
 
 	wg, err := NewWriterGroup(h.net, h.dir, stream, nw, opts, wm)
 	if err != nil {
@@ -191,10 +191,6 @@ func TestMxNAsync(t *testing.T) {
 	runMxNSplit(t, 4, 2, Options{Async: true}, 5)
 }
 
-func TestMxNBatching(t *testing.T) {
-	runMxNSplit(t, 4, 2, Options{Batching: true}, 3)
-}
-
 func TestMxNShmTransport(t *testing.T) {
 	opts := Options{Transport: func(w, r int) (evpath.TransportKind, int, int) {
 		return evpath.ShmTransport, 0, 0
@@ -236,68 +232,6 @@ func TestCachingAllSkipsHandshakes(t *testing.T) {
 	}
 	if allDist != 1 {
 		t.Fatalf("CACHING_ALL sent %d writer dists, want 1", allDist)
-	}
-}
-
-func TestBatchingReducesMessages(t *testing.T) {
-	// With multiple variables per step, batching collapses data messages.
-	h := newHarness(t)
-	shape := []int64{16}
-	wdec, _ := ndarray.BlockDecompose(shape, []int{2})
-	const nvars = 5
-
-	run := func(batch bool) int64 {
-		wm := monitor.New("w")
-		stream := fmt.Sprintf("batch-%v", batch)
-		wg, err := NewWriterGroup(h.net, h.dir, stream, 2, Options{Batching: batch}, wm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rg, err := NewReaderGroup(h.net, h.dir, stream, 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var writers sync.WaitGroup
-		for w := 0; w < 2; w++ {
-			w := w
-			writers.Add(1)
-			go func() {
-				defer writers.Done()
-				wr := wg.Writer(w)
-				wr.BeginStep(0)
-				for v := 0; v < nvars; v++ {
-					meta := VarMeta{
-						Name: fmt.Sprintf("v%d", v), Kind: GlobalArrayVar,
-						ElemSize: 8, GlobalShape: shape, Box: wdec.Boxes[w],
-					}
-					wr.Write(meta, make([]byte, wdec.Boxes[w].NumElements()*8))
-				}
-				wr.EndStep()
-			}()
-		}
-		rd := rg.Reader(0)
-		for v := 0; v < nvars; v++ {
-			rd.SelectArray(fmt.Sprintf("v%d", v), ndarray.BoxFromShape(shape))
-		}
-		if _, ok := rd.BeginStep(); !ok {
-			t.Fatal("no step")
-		}
-		for v := 0; v < nvars; v++ {
-			if _, _, err := rd.ReadArray(fmt.Sprintf("v%d", v)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rd.EndStep()
-		writers.Wait()
-		wg.Close()
-		rg.Close()
-		return wm.Snapshot().Counts["data.msgs"]
-	}
-
-	plain := run(false)
-	batched := run(true)
-	if batched >= plain {
-		t.Fatalf("batching did not reduce messages: %d vs %d", batched, plain)
 	}
 }
 
@@ -581,9 +515,8 @@ func TestMxNRandomizedProperty(t *testing.T) {
 			nr := 1 + rng.Intn(4)
 			steps := 1 + rng.Intn(4)
 			opts := Options{
-				Caching:  CachingLevel(rng.Intn(3)),
-				Batching: rng.Intn(2) == 0,
-				Async:    rng.Intn(2) == 0,
+				Caching: CachingLevel(rng.Intn(3)),
+				Async:   rng.Intn(2) == 0,
 			}
 			switch rng.Intn(3) {
 			case 1:

@@ -394,25 +394,22 @@ func TestTCPSteadyStateAllocation(t *testing.T) {
 
 // TestPayloadPoolDrainsAcrossModes: Put keys on cap(buf), so the pool's
 // in-use count only returns to zero if the whole buffer — header room
-// included — is what comes back on every path. Sync, async and batched
-// streams over chan, shm (hand-off) and tcp; the reconfigured streams
+// included — is what comes back on every path. Sync and async streams
+// over chan, shm (hand-off) and tcp; the reconfigured streams
 // assert the same in reconfig_test.go.
 func TestPayloadPoolDrainsAcrossModes(t *testing.T) {
 	shmT := func(w, r int) (evpath.TransportKind, int, int) { return evpath.ShmTransport, 0, 0 }
 	for name, opts := range map[string]Options{
-		"sync":        {},
-		"async":       {Async: true},
-		"batched":     {Batching: true},
-		"shm":         {Transport: shmT},
-		"shm-batched": {Transport: shmT, Batching: true},
-		"shm-nozc":    {Transport: shmT, NoZeroCopy: true},
+		"sync":     {},
+		"async":    {Async: true},
+		"shm":      {Transport: shmT},
+		"shm-nozc": {Transport: shmT, NoZeroCopy: true},
 	} {
 		t.Run(name, func(t *testing.T) { runMxNSplit(t, 3, 2, opts, 4) }) // asserts the drain
 	}
 	for name, opts := range map[string]Options{
-		"tcp":         {},
-		"tcp-async":   {Async: true},
-		"tcp-batched": {Batching: true},
+		"tcp":       {},
+		"tcp-async": {Async: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			pgStream{opts: opts, vars: []pgVar{{"p", 50_000}}, steps: 4}.run(t, "drain-"+name) // asserts the drain

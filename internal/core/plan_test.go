@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -158,15 +159,20 @@ func TestPlanCacheSteadyStateCounters(t *testing.T) {
 }
 
 func TestMxNParallelExecutor(t *testing.T) {
-	// Large fan-out with the parallel executor explicitly enabled (and
+	// Large fan-out on the default executor (GOMAXPROCS workers, with
 	// enough writers that multiple workers really run); data integrity is
 	// checked inside runMxNSplit. This is the -race coverage for the
 	// parallel plan-execution path.
-	runMxNSplit(t, 8, 4, Options{PackWorkers: 4}, 3)
+	runMxNSplit(t, 8, 4, Options{}, 3)
 }
 
 func TestMxNSequentialExecutor(t *testing.T) {
-	runMxNSplit(t, 4, 2, Options{PackWorkers: 1}, 2)
+	// One P makes parallelFor run every writer rank and every reader
+	// unpack inline, in order. No core test runs in parallel, so the
+	// process-wide setting reaches no other test.
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	runMxNSplit(t, 4, 2, Options{}, 2)
 }
 
 func TestReadArrayReleaseReuse(t *testing.T) {

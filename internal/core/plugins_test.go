@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -166,39 +167,6 @@ func TestMigratePluginToWriters(t *testing.T) {
 	rg.Close()
 }
 
-func TestWriterPluginWithBatching(t *testing.T) {
-	h := newHarness(t)
-	wg, err := NewWriterGroup(h.net, h.dir, "deploy-batch", 1, Options{Batching: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rg, err := NewReaderGroup(h.net, h.dir, "deploy-batch", 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd := rg.Reader(0)
-	rd.SelectProcessGroups([]int{0})
-	if err := rg.DeployPluginToWriters(dcplugin.SamplePlugin(4)); err != nil {
-		t.Fatal(err)
-	}
-	payload := make([]float64, 100)
-	done := writeStep(t, wg, 0, payload)
-	if _, ok := rd.BeginStep(); !ok {
-		t.Fatal("no step")
-	}
-	<-done
-	groups, err := rd.ReadProcessGroups("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(dcplugin.BytesToFloats(groups[0])); n != 25 {
-		t.Fatalf("batched path not conditioned: %d values", n)
-	}
-	rd.EndStep()
-	wg.Close()
-	rg.Close()
-}
-
 func TestTransientFaultsRetried(t *testing.T) {
 	h := newHarness(t)
 	var wrapped []evpath.Conn
@@ -327,10 +295,14 @@ func TestPermanentFaultSurfaces(t *testing.T) {
 		errCh <- wr.EndStep()
 	}()
 	go rd.BeginStep() // unblock selections
-	if err := <-errCh; err == nil {
+	endErr := <-errCh
+	if endErr == nil {
 		t.Fatal("unretried transient fault must surface from EndStep")
 	}
-	wg.Close()
+	// A sync flush's error is the stream's error too: Close reports it.
+	if err := wg.Close(); !errors.Is(err, endErr) {
+		t.Fatalf("Close = %v, want EndStep's error %v", err, endErr)
+	}
 	rg.Close()
 }
 

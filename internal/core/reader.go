@@ -331,29 +331,6 @@ func (g *ReaderGroup) routeEvent(r int, ev *evpath.Event, release func()) {
 		}
 		g.cond.Broadcast()
 		g.mu.Unlock()
-	case msgBatch:
-		// The writer never hands off batch frames, but a foreign producer
-		// might: detach from the referenced buffer before slicing
-		// sub-events out of it, since their Data would alias it.
-		if release != nil {
-			ev.Data = append([]byte(nil), ev.Data...)
-			release()
-		}
-		// Unpack sub-events: length-prefixed frames in the payload.
-		data := ev.Data
-		for len(data) >= 8 {
-			n := getLen(data[:8])
-			data = data[8:]
-			if n > len(data) {
-				return
-			}
-			sub, err := evpath.DecodeEvent(data[:n])
-			data = data[n:]
-			if err != nil {
-				return
-			}
-			g.routeEvent(r, sub, nil)
-		}
 	case msgData:
 		g.acceptData(r, ev, release)
 	case msgStepDone:

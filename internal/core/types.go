@@ -10,8 +10,9 @@
 //     distributions and computes the MxN re-distribution mapping
 //     (Section II.C.2, Figure 3),
 //   - handshake caching levels (NO_CACHING / CACHING_LOCAL /
-//     CACHING_ALL), variable batching, and synchronous vs. asynchronous
-//     writes — the paper's three protocol optimizations,
+//     CACHING_ALL) and synchronous vs. asynchronous writes, two of the
+//     paper's three protocol optimizations (the third, variable
+//     batching, is a term of the coupled performance model only),
 //   - per-rank performance monitoring hooks.
 //
 // Ranks are goroutines within one process or spread over processes;
@@ -121,7 +122,7 @@ func (m *VarMeta) Validate() error {
 }
 
 // Options configures a stream endpoint. The zero value is usable:
-// synchronous writes, no caching, no batching, chan transport everywhere.
+// synchronous writes, no caching, chan transport everywhere.
 type Options struct {
 	// Tenant scopes the stream under a tenant namespace: every directory
 	// key (coordinator contact, epoch-qualified data contacts) is
@@ -135,9 +136,6 @@ type Options struct {
 	Quota TenantQuota
 	// Caching selects the handshake caching level.
 	Caching CachingLevel
-	// Batching packs all variables of a timestep into one framed transfer
-	// per writer-reader pair instead of one per variable.
-	Batching bool
 	// Async makes EndStep return once the step is queued; a background
 	// worker performs the actual movement (overlapping it with the
 	// writer's compute, like the paper's asynchronous write API).
@@ -164,10 +162,6 @@ type Options struct {
 	// movement faults (Section II.H); default 3, 0 keeps the default,
 	// negative disables retries.
 	SendRetries int
-	// PackWorkers bounds the worker pool that executes redistribution
-	// plans (packing and sending) across writer ranks in parallel.
-	// 0 means GOMAXPROCS; 1 forces sequential execution.
-	PackWorkers int
 	// PoolMaxBytes caps the bytes the payload buffer pool retains on its
 	// free lists between steps (0 = unbounded). Excess buffers are
 	// released to the garbage collector, mirroring the shared-memory
@@ -208,7 +202,6 @@ const (
 	msgWriterDist = "writer-dist" // coordinator: writer-side distribution for a step/var
 	msgReaderDist = "reader-dist" // coordinator: reader-side selections
 	msgData       = "data"        // data connection: one variable piece
-	msgBatch      = "batch"       // data connection: batched variables
 	msgStepDone   = "step-done"   // data connection: writer finished this step
 )
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"flexio/internal/directory"
@@ -73,12 +74,13 @@ type WriterGroup struct {
 
 	plugins writerPlugins // codelets deployed from the reader side
 
-	stepMu      sync.Mutex
-	open        map[int64]*pendingStep // steps with outstanding deposits
-	asyncCh     chan *pendingStep
-	asyncDone   chan struct{}
-	asyncErr    error
-	asyncErrMu  sync.Mutex
+	stepMu    sync.Mutex
+	open      map[int64]*pendingStep // steps with outstanding deposits
+	asyncCh   chan *pendingStep
+	asyncDone chan struct{}
+	// flushErr holds the first error any flush returned, in sync and
+	// async mode alike; Close reports it.
+	flushErr    atomic.Pointer[error]
 	lastDist    map[string][]int64 // var -> writer boxes last handshaken (appendBox encoding)
 	curDist     map[string][]int64 // var -> this flush's writer boxes; storage reused by every flush
 	sentAnyDist bool
@@ -322,10 +324,7 @@ func (w *Writer) EndStep() error {
 		return ps.err
 	}
 	if g.opts.Async {
-		g.asyncErrMu.Lock()
-		err := g.asyncErr
-		g.asyncErrMu.Unlock()
-		if err != nil {
+		if err := g.firstFlushErr(); err != nil {
 			return err
 		}
 		// Tenant backpressure: each queued step holds an in-flight slot
@@ -341,6 +340,7 @@ func (w *Writer) EndStep() error {
 		return err
 	}
 	ps.err = g.flush(ps)
+	g.recordFlushErr(ps.err)
 	g.retireStepCredits(ps)
 	close(ps.done)
 	return ps.err
@@ -356,15 +356,29 @@ func (g *WriterGroup) retireStepCredits(ps *pendingStep) {
 func (g *WriterGroup) asyncWorker() {
 	defer close(g.asyncDone)
 	for ps := range g.asyncCh {
-		if err := g.flush(ps); err != nil {
-			g.asyncErrMu.Lock()
-			g.asyncErr = err
-			g.asyncErrMu.Unlock()
-		}
+		g.recordFlushErr(g.flush(ps))
 		g.retireStepCredits(ps)
 		ps.err = nil
 		close(ps.done)
 	}
+}
+
+// recordFlushErr keeps err if it is the first flush error of the group.
+// The slot is taken inside the branch so that a nil err, every healthy
+// step, allocates nothing.
+func (g *WriterGroup) recordFlushErr(err error) {
+	if err != nil {
+		first := err
+		g.flushErr.CompareAndSwap(nil, &first)
+	}
+}
+
+// firstFlushErr returns the first flush error, or nil.
+func (g *WriterGroup) firstFlushErr() error {
+	if p := g.flushErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // appendBox appends one writer box to a variable's distribution record:
@@ -464,12 +478,7 @@ func (g *WriterGroup) flush(ps *pendingStep) error {
 	g.sentAnyDist = true
 
 	// Step 4.s: pack strides per receiver and send.
-	if g.opts.Batching {
-		err = g.sendBatched(ps, sel, tr)
-	} else {
-		err = g.sendPerVariable(ps, sel, tr)
-	}
-	if err != nil {
+	if err := g.sendPerVariable(ps, sel, tr); err != nil {
 		return err
 	}
 
@@ -506,12 +515,12 @@ func (g *WriterGroup) flush(ps *pendingStep) error {
 	return nil
 }
 
-// sendPerVariable moves each variable separately (default granularity).
+// sendPerVariable moves each variable separately, one message per piece.
 // Writer ranks proceed in parallel on the bounded executor: each rank
 // owns its own row of data connections, so per-rank packing and sending
 // are independent.
 func (g *WriterGroup) sendPerVariable(ps *pendingStep, sel readerSelections, tr stepTrace) error {
-	return parallelFor(g.NWriters, g.opts.PackWorkers, func(w int) error {
+	return parallelFor(g.NWriters, 0, func(w int) error {
 		for _, v := range ps.vars[w] {
 			pack := g.journal.Begin(observer(g.mon), flight.Event{
 				Kind: flight.KindCompute, Point: "writer.pack", Scope: g.key,
@@ -609,81 +618,6 @@ func (g *WriterGroup) applyWriterPlugins(ev *evpath.Event, step int64, w int, tr
 		return nil, nil
 	}
 	return out, nil
-}
-
-// sendBatched packs all of a writer's pieces for one reader into a single
-// framed transfer, aggregating handshaking and data messages. As in
-// sendPerVariable, writer ranks run in parallel.
-func (g *WriterGroup) sendBatched(ps *pendingStep, sel readerSelections, tr stepTrace) error {
-	return parallelFor(g.NWriters, g.opts.PackWorkers, func(w int) error {
-		// Batching concatenates payloads into one frame per reader, so the
-		// pooled buffers are always copied (never handed off) and returned
-		// once every batch has been encoded.
-		var pooled [][]byte
-		defer func() {
-			for _, buf := range pooled {
-				g.payloadPool.Put(buf)
-			}
-		}()
-		perReader := make(map[int][]*evpath.Event)
-		for _, v := range ps.vars[w] {
-			pack := g.journal.Begin(observer(g.mon), flight.Event{
-				Kind: flight.KindCompute, Point: "writer.pack", Scope: g.key,
-				Rank: w, Step: ps.step, Epoch: tr.epoch, Parent: tr.parent,
-			})
-			pieces, err := g.piecesFor(ps.step, w, v, sel)
-			pack.End()
-			if err != nil {
-				return err
-			}
-			for r, ogs := range pieces {
-				for _, og := range ogs {
-					perReader[r] = append(perReader[r], og.ev)
-					if og.owned {
-						pooled = append(pooled, og.buf)
-					}
-				}
-			}
-		}
-		for r, evs := range perReader {
-			if len(evs) == 0 {
-				continue
-			}
-			// Frame: concatenated encoded sub-events with a count.
-			var payload []byte
-			kept := 0
-			for _, ev := range evs {
-				out, err := g.applyWriterPlugins(ev, ps.step, w, tr)
-				if err != nil {
-					return err
-				}
-				if out == nil {
-					continue
-				}
-				ev = out
-				kept++
-				b, err := evpath.EncodeEvent(ev)
-				if err != nil {
-					return err
-				}
-				var hdr [8]byte
-				putLen(hdr[:], len(b))
-				payload = append(payload, hdr[:]...)
-				payload = append(payload, b...)
-			}
-			if kept == 0 {
-				continue
-			}
-			batch := &evpath.Event{
-				Meta: evpath.Record{"kind": msgBatch, "step": ps.step, "writer": int64(w), "count": int64(kept)},
-				Data: payload,
-			}
-			if err := g.sendEvent(w, r, batch, ps.step, tr); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }
 
 // outgoing pairs one data event with the pool buffer backing its Data:
@@ -801,8 +735,8 @@ func (g *WriterGroup) sendEvent(w, r int, ev *evpath.Event, step int64, tr stepT
 // the payload, which makes buf's tail byte for byte what EncodeEvent(ev)
 // would have built, and that slice goes to the transport's copying Send —
 // the transport is done with it when Send returns. The concatenating
-// encode remains for everything else: no buf (control events, batches, a
-// plug-in replaced Data), a header that outgrows the room, NoZeroCopy.
+// encode remains for everything else: no buf (control events, a plug-in
+// replaced Data), a header that outgrows the room, NoZeroCopy.
 // The send event keeps the "send.<transport>" point either way — on the
 // hand-off path its Bytes shrink to the header, which is how the critical
 // path shows the writer→reader seam collapsing to handle-passing cost.
@@ -935,7 +869,8 @@ func (g *WriterGroup) sendWithRetry(conn evpath.Conn, buf []byte) error {
 }
 
 // Close flushes pending async steps, closes every connection (readers see
-// End-of-Stream), and unregisters the stream.
+// End-of-Stream), and unregisters the stream. It returns the first error
+// a flush returned during the stream's life, nil if every step moved.
 func (g *WriterGroup) Close() error {
 	var err error
 	g.closeOnce.Do(func() {
@@ -947,10 +882,8 @@ func (g *WriterGroup) Close() error {
 		if g.opts.Async {
 			close(g.asyncCh)
 			<-g.asyncDone
-			g.asyncErrMu.Lock()
-			err = g.asyncErr
-			g.asyncErrMu.Unlock()
 		}
+		err = g.firstFlushErr()
 		g.closeDataConns()
 		g.selMu.Lock()
 		coord := g.coordConn
@@ -963,18 +896,4 @@ func (g *WriterGroup) Close() error {
 		g.sess.tryTransition(StateClosed)
 	})
 	return err
-}
-
-func putLen(b []byte, n int) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(uint64(n) >> (8 * i))
-	}
-}
-
-func getLen(b []byte) int {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return int(v)
 }

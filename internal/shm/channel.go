@@ -61,10 +61,16 @@ type Channel struct {
 
 	journal atomic.Pointer[flight.Journal] // attached via SetJournal
 
-	stats struct {
-		sync.Mutex
-		ChannelStats
-	}
+	// Stats counters, grouped by the side that writes them, each group in
+	// cache lines of its own so that neither end's bumps bounce a line the
+	// other end writes. CopiedBytes is txCopied + rxCopied.
+	_pad0                                 [CacheLineSize]byte
+	messagesSent, bytesSent               atomic.Int64 // producer
+	inlineSends, pooledSends, handleSends atomic.Int64
+	txCopied                              atomic.Int64
+	_pad1                                 [CacheLineSize]byte
+	rxCopied                              atomic.Int64 // consumer
+	_pad2                                 [CacheLineSize]byte
 }
 
 type outEntry struct {
@@ -117,9 +123,10 @@ func (c *Channel) Send(msg []byte) bool {
 		var ctl [ctlHeader]byte
 		ctl[0] = msgInline
 		binary.LittleEndian.PutUint64(ctl[1:], uint64(len(msg)))
+		c.inlineSends.Add(1)
+		c.txCopied.Add(int64(len(msg)))
 		ok := c.q.enqueue(ctl[:], msg)
 		if ok {
-			c.bump(func(s *ChannelStats) { s.InlineSends++; s.CopiedBytes += int64(len(msg)) })
 			c.recordQueueEvent(flight.KindEnqueue, "shm.send.inline", len(msg))
 		}
 		return ok
@@ -133,12 +140,13 @@ func (c *Channel) Send(msg []byte) bool {
 	var frame [ctlHeader]byte
 	frame[0] = msgPooled
 	binary.LittleEndian.PutUint64(frame[1:], id)
+	c.pooledSends.Add(1)
+	c.txCopied.Add(int64(len(msg)))
 	if !c.q.Enqueue(frame[:]) {
 		c.unregister(id)
 		c.pool.Put(buf)
 		return false
 	}
-	c.bump(func(s *ChannelStats) { s.PooledSends++; s.CopiedBytes += int64(len(msg)) })
 	c.recordQueueEvent(flight.KindEnqueue, "shm.send.pooled", len(msg))
 	return true
 }
@@ -161,11 +169,12 @@ func (c *Channel) SendHandle(hdr, payload []byte, onRelease func()) error {
 	var ctl [ctlHeader]byte
 	ctl[0] = msgHandle
 	binary.LittleEndian.PutUint64(ctl[1:], id)
+	c.handleSends.Add(1)
+	c.txCopied.Add(int64(len(hdr)))
 	if !c.q.enqueue(ctl[:], hdr) {
 		c.unregister(id)
 		return ErrClosed
 	}
-	c.bump(func(s *ChannelStats) { s.HandleSends++; s.CopiedBytes += int64(len(hdr)) })
 	c.recordQueueEvent(flight.KindEnqueue, "shm.send.handle", len(hdr))
 	return nil
 }
@@ -212,7 +221,7 @@ func (c *Channel) recvMsg(dst []byte, byRef bool) (Received, bool) {
 		}
 		dst = grow(dst, ln)
 		copy(dst, frame[ctlHeader:ctlHeader+ln])
-		c.bump(func(s *ChannelStats) { s.CopiedBytes += int64(ln) })
+		c.rxCopied.Add(int64(ln))
 		c.recordQueueEvent(flight.KindDequeue, "shm.recv", ln)
 		return Received{Msg: dst}, true
 	case msgPooled:
@@ -224,7 +233,7 @@ func (c *Channel) recvMsg(dst []byte, byRef bool) (Received, bool) {
 		dst = grow(dst, len(e.buf))
 		copy(dst, e.buf) // second copy
 		c.pool.Put(e.buf)
-		c.bump(func(s *ChannelStats) { s.CopiedBytes += int64(len(dst)) })
+		c.rxCopied.Add(int64(len(dst)))
 		c.recordQueueEvent(flight.KindDequeue, "shm.recv", len(dst))
 		return Received{Msg: dst}, true
 	case msgHandle:
@@ -234,7 +243,7 @@ func (c *Channel) recvMsg(dst []byte, byRef bool) (Received, bool) {
 			return Received{}, false
 		}
 		hdr := frame[ctlHeader:n]
-		c.bump(func(s *ChannelStats) { s.CopiedBytes += int64(len(hdr)) })
+		c.rxCopied.Add(int64(len(hdr)))
 		if byRef {
 			// Msg gets its own copy: the frame is reused by the next receive.
 			dst = grow(dst, len(hdr))
@@ -248,7 +257,7 @@ func (c *Channel) recvMsg(dst []byte, byRef bool) (Received, bool) {
 		copy(dst, hdr)
 		copy(dst[len(hdr):], e.buf)
 		e.release()
-		c.bump(func(s *ChannelStats) { s.CopiedBytes += int64(len(e.buf)) })
+		c.rxCopied.Add(int64(len(e.buf)))
 		c.recordQueueEvent(flight.KindDequeue, "shm.recv", len(dst))
 		return Received{Msg: dst}, true
 	}
@@ -269,24 +278,25 @@ func (c *Channel) Close() {
 	}
 }
 
-// Stats returns a snapshot of channel counters.
+// Stats returns a snapshot of channel counters. A send is counted before
+// it is published, so every message the consumer has received is in the
+// producer's counts; a send refused by a closed channel stays counted.
+// Each field is loaded on its own, so a snapshot taken mid-traffic may
+// split one message's updates.
 func (c *Channel) Stats() ChannelStats {
-	c.stats.Lock()
-	defer c.stats.Unlock()
-	return c.stats.ChannelStats
+	return ChannelStats{
+		MessagesSent: c.messagesSent.Load(),
+		BytesSent:    c.bytesSent.Load(),
+		InlineSends:  c.inlineSends.Load(),
+		PooledSends:  c.pooledSends.Load(),
+		HandleSends:  c.handleSends.Load(),
+		CopiedBytes:  c.txCopied.Load() + c.rxCopied.Load(),
+	}
 }
 
 func (c *Channel) countSend(n int) {
-	c.bump(func(s *ChannelStats) {
-		s.MessagesSent++
-		s.BytesSent += int64(n)
-	})
-}
-
-func (c *Channel) bump(f func(*ChannelStats)) {
-	c.stats.Lock()
-	f(&c.stats.ChannelStats)
-	c.stats.Unlock()
+	c.messagesSent.Add(1)
+	c.bytesSent.Add(int64(n))
 }
 
 func (c *Channel) register(e *outEntry) uint64 {

@@ -255,6 +255,72 @@ func TestChannelStatsBytes(t *testing.T) {
 	}
 }
 
+// TestChannelStatsConcurrentTotals: producer and consumer update the
+// counters from their own goroutines (both add to CopiedBytes) while a
+// third reads snapshots; once both ends finish, Stats must hold the exact
+// totals. Run under -race this also checks the counters need no lock.
+func TestChannelStatsConcurrentTotals(t *testing.T) {
+	c, _ := NewChannel(8, 64, 0)
+	defer c.Close()
+	const rounds = 300 // a third each inline, pooled and handle sends
+	inline, pooled := make([]byte, 10), make([]byte, 1000)
+	hdr, payload := make([]byte, 8), make([]byte, 4096)
+	done := make(chan struct{})
+	go func() { // snapshot reader, racing both ends
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				c.Stats()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			switch i % 3 {
+			case 0:
+				c.Send(inline)
+			case 1:
+				c.Send(pooled)
+			case 2:
+				if err := c.SendHandle(hdr, payload, nil); err != nil {
+					t.Errorf("send %d: %v", i, err)
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		got, ok := c.RecvMsg(nil)
+		if !ok {
+			t.Fatalf("recv %d failed", i)
+		}
+		if got.Release != nil {
+			got.Release()
+		}
+	}
+	wg.Wait()
+	close(done)
+	const n = rounds / 3
+	want := ChannelStats{
+		MessagesSent: rounds,
+		BytesSent:    n * int64(len(inline)+len(pooled)+len(hdr)+len(payload)),
+		InlineSends:  n,
+		PooledSends:  n,
+		HandleSends:  n,
+		// Both ends copy inline and pooled payloads; a handle message
+		// copies only its header, once on each end.
+		CopiedBytes: n * 2 * int64(len(inline)+len(pooled)+len(hdr)),
+	}
+	if st := c.Stats(); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+}
+
 func BenchmarkSPSCQueueInline(b *testing.B) {
 	for _, size := range []int{8, 64, 512} {
 		b.Run(fmt.Sprintf("msg%dB", size), func(b *testing.B) {
